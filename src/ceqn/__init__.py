@@ -22,15 +22,10 @@ from .driver import (
 )
 from .hessian import (
     ApproxConfig,
-    CurvaturePair,
     DenseInverseOperator,
-    LbfgsOperator,
-    Lsr1Operator,
+    LowRankOperator,
     PairBuffer,
     ScaledIdentityOperator,
-    collect_history_pair,
-    lbfgs_two_loop,
-    lsr1_apply,
     rebuild_operator,
     sample_pairs,
 )

@@ -19,7 +19,6 @@ import math
 import statistics
 import sys
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,28 +175,17 @@ def run_grid(
     grid: GridSpec,
     seeds: list[int],
     out_dir: Path,
-    jobs: int = 1,
 ) -> dict:
     """Run the grid x seeds cross product and assemble the report."""
     problem, dataset_info = spec.load_problem()
-    tasks = []
+    rows = []
     for value in grid.values:
         for seed in seeds:
             child = spec.with_overrides({grid.parameter: value, "seed": seed})
             run_id = f"{child['method'].lower()}-{grid.parameter}{value:g}-seed{seed}"
-            tasks.append((value, seed, child, out_dir / run_id))
-
-    def execute(task):
-        value, seed, child, run_dir = task
-        row = _run_one(child, problem, dataset_info, run_dir)
-        row[grid.parameter] = value
-        return row
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(execute, tasks))
-    else:
-        rows = [execute(t) for t in tasks]
+            row = _run_one(child, problem, dataset_info, out_dir / run_id)
+            row[grid.parameter] = value
+            rows.append(row)
 
     winner = select_winner(rows, grid.parameter)
     report = {
@@ -232,7 +220,7 @@ def cmd_grid(args) -> int:
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_grid(spec, grid, seeds, Path(args.out), jobs=args.jobs)
+    report = run_grid(spec, grid, seeds, Path(args.out))
     n_failed = sum(1 for r in report["rows"] if r["status"] != "ok")
     if report["winner"] is None:
         print("error: every grid configuration failed", file=sys.stderr)
@@ -464,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_p.add_argument(
         "--seeds", default="0,1,2,3,4", help="comma-separated seed list"
     )
-    grid_p.add_argument("--jobs", type=int, default=1, help="concurrent child runs")
     grid_p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     grid_p.set_defaults(func=cmd_grid)
 

@@ -20,9 +20,7 @@ import numpy as np
 from .hessian import (
     KIND_EXACT,
     STRATEGY_HISTORY,
-    STRATEGY_SAMPLED,
     ApproxConfig,
-    CurvaturePair,
     DenseInverseOperator,
     PairBuffer,
     ScaledIdentityOperator,
@@ -197,7 +195,8 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     Per iteration: obtain curvature pairs (fresh Gaussian probes at the
     current iterate, or the history buffer), rebuild the operator, take one
     engine iteration, and append a trace record. On an indefinite operator
-    the iteration is redone with the scaled-identity fallback and flagged.
+    the iteration is redone with the scaled-identity fallback and flagged; an
+    exact Hessian that cannot be factored takes the same fallback.
     Raises NumericalFailureError (carrying the partial result) as soon as the
     objective or gradient stops being finite.
     """
@@ -235,7 +234,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         )
 
     buffer = (
-        PairBuffer(config.approx.memory)
+        PairBuffer(config.approx.memory, oracle.dimension)
         if config.approx.pair_strategy == STRATEGY_HISTORY
         else None
     )
@@ -247,20 +246,23 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
             break
 
         if config.approx.kind == KIND_EXACT:
-            operator = DenseInverseOperator(oracle, x)
-        elif config.approx.pair_strategy == STRATEGY_SAMPLED:
+            try:
+                operator = DenseInverseOperator(oracle, x)
+            except np.linalg.LinAlgError:
+                # a Hessian that is not positive definite (mu = 0 on a
+                # rank-deficient design) gets the indefinite-operator fallback
+                operator = ScaledIdentityOperator(config.approx.h0_scale)
+        elif buffer is None:
             pairs = sample_pairs(oracle, x, config.approx.memory, rng)
             operator = rebuild_operator(config.approx, pairs)
         else:
-            operator = rebuild_operator(config.approx, buffer.pairs)
-        fallback = operator.fallback
+            operator = rebuild_operator(config.approx, buffer)
         skipped_pairs = operator.skipped
 
         try:
             result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
             operator = ScaledIdentityOperator(config.approx.h0_scale)
-            fallback = True
             result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
 
         x_next = result.x_next
@@ -278,7 +280,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
                 alpha=float(result.alpha_used),
                 inner_count=result.inner_count,
                 skipped_pairs=skipped_pairs,
-                fallback=bool(fallback),
+                fallback=operator.fallback,
                 n_value=oracle.n_value,
                 n_grad=oracle.n_grad,
                 n_hvp=oracle.n_hvp,
@@ -293,7 +295,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
 
         stalled = np.array_equal(x_next, x)
         if buffer is not None and not stalled:
-            buffer.push(CurvaturePair(x_next - x, g_next - g))
+            buffer.push(x_next - x, g_next - g)
         x, f, g = x_next, f_next, g_next
         alpha = alpha_next
         k += 1

@@ -1,10 +1,13 @@
 """Limited-memory inverse-Hessian operators built from curvature pairs.
 
-Two update rules are provided: a compact recursive SR1 form and the classical
-BFGS two-loop recursion. Both start from a scaled identity H0 = c*I and apply
-H to vectors without ever materializing a matrix. Curvature pairs come either
-from the optimization history (FIFO buffer) or from Hessian-vector probes
-along fresh Gaussian directions.
+Every limited-memory operator has the form H = c*I + U^T M U: a scaled
+identity plus a symmetric low-rank term with a few rows U and a small matrix
+M, so applying H to a vector costs two matrix-vector products with U. Two
+update rules fill (c, U, M): SR1, whose rank-one update vectors are the rows
+of U, and BFGS in the compact form of Byrd, Nocedal and Schnabel (Math. Prog.
+63, 1994), whose U is the pair storage itself. Curvature pairs are rows of
+arrays, collected either along the optimization history (a FIFO ring) or by
+Hessian-vector probes along fresh Gaussian directions.
 
 SR1 may produce an indefinite operator; definiteness safeguards live in the
 stepsize engines, not here.
@@ -12,7 +15,6 @@ stepsize engines, not here.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +27,6 @@ KIND_LBFGS = "LBFGS"
 KIND_EXACT = "EXACT"
 STRATEGY_HISTORY = "HISTORY"
 STRATEGY_SAMPLED = "SAMPLED"
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    """Displacement s and the matching gradient or Hessian-action difference y."""
-
-    s: Vector
-    y: Vector
-
-    def __post_init__(self):
-        if self.s.shape != self.y.shape or self.s.ndim != 1:
-            raise ValueError(
-                f"pair vectors must share one dimension, got {self.s.shape} / {self.y.shape}"
-            )
 
 
 @dataclass
@@ -71,163 +59,175 @@ class ApproxConfig:
 
 
 class PairBuffer:
-    """Bounded FIFO of curvature pairs; full buffer evicts the oldest."""
+    """Bounded FIFO of curvature pairs (s, y) held as rows of one array.
 
-    def __init__(self, capacity: int):
+    ``s`` and ``y`` are the two halves of a (2, capacity, dimension) array,
+    so ``rows`` = [s; y] is a view, never a copy. Slots fill in order and a
+    full buffer overwrites its oldest slot; ``order()`` lists the filled
+    slots oldest first. Slots not filled yet hold zeros.
+    """
+
+    def __init__(self, capacity: int, dimension: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
+        self.dimension = dimension
+        self._data = np.zeros((2, capacity, dimension))
+        self.s, self.y = self._data
+        self._pushed = 0
 
-    def push(self, pair: CurvaturePair) -> None:
-        self._pairs.append(pair)
-
-    @property
-    def pairs(self) -> tuple[CurvaturePair, ...]:
-        return tuple(self._pairs)
+    def push(self, s: Vector, y: Vector) -> None:
+        if s.shape != (self.dimension,) or y.shape != (self.dimension,):
+            raise ValueError(
+                f"pair vectors must have shape ({self.dimension},), got {s.shape} / {y.shape}"
+            )
+        slot = self._pushed % self.capacity
+        self.s[slot] = s
+        self.y[slot] = y
+        self._pushed += 1
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return min(self._pushed, self.capacity)
 
+    def order(self) -> np.ndarray:
+        """Slot indices of the stored pairs, oldest first."""
+        return np.arange(self._pushed - len(self), self._pushed) % self.capacity
 
-def collect_history_pair(
-    buffer: PairBuffer,
-    x_prev: Vector,
-    x_next: Vector,
-    g_prev: Vector,
-    g_next: Vector,
-) -> None:
-    """Push the trajectory pair (x_next - x_prev, g_next - g_prev)."""
-    buffer.push(CurvaturePair(x_next - x_prev, g_next - g_prev))
+    @property
+    def rows(self) -> np.ndarray:
+        """All slots as one (2 * capacity, dimension) array: s rows, then y rows."""
+        return self._data.reshape(2 * self.capacity, self.dimension)
 
 
 def sample_pairs(
     oracle: ProblemOracle, x: Vector, m: int, rng: np.random.Generator
-) -> list[CurvaturePair]:
+) -> PairBuffer:
     """Draw m standard-normal directions d_i and pair them with hvp(x, d_i).
 
     Decouples curvature estimation from the trajectory; costs exactly m
-    Hessian-vector products. Deterministic given the generator state.
+    Hessian-vector products. Deterministic given the generator state: one
+    (m, d) draw consumes the same stream as m draws of size d.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    pairs = []
-    for _ in range(m):
-        d = rng.standard_normal(oracle.dimension)
-        pairs.append(CurvaturePair(d, oracle.hvp(x, d)))
+    pairs = PairBuffer(m, oracle.dimension)
+    for d in rng.standard_normal((m, oracle.dimension)):
+        pairs.push(d, oracle.hvp(x, d))
     return pairs
 
 
 class ScaledIdentityOperator:
-    """H = c * I; the empty-memory operator and the driver's fallback."""
+    """H = c * I, the driver's fallback when no usable operator exists.
+
+    It always reports ``fallback``: the driver builds one only in place of
+    the configured operator.
+    """
+
+    skipped = 0
+    fallback = True
 
     def __init__(self, scale: float):
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         self.scale = scale
-        self.skipped = 0
-        self.fallback = False
 
     def apply(self, g: Vector) -> Vector:
         return self.scale * g
 
 
-class Lsr1Operator:
-    """Compact recursive limited-memory SR1 inverse approximation.
+class LowRankOperator:
+    """H = c*I + U^T M U with a few rows U and a small symmetric matrix M.
 
-    Builds rank-one update vectors v_i = s_i - H_i y_i incrementally (each
-    needs the partial operator applied to y_i, O(i d); O(m^2 d) total) and
-    caches (v_i, v_i^T y_i) so each later application costs O(m d). A pair is
-    skipped when |v_i^T y_i| <= skip_tol ||v_i|| ||y_i||, the standard SR1
-    safeguard against a vanishing denominator.
+    ``skipped`` counts the pairs the update rule dropped; ``fallback`` marks
+    a build that was offered pairs but kept none, leaving H = c*I. U may be
+    a view of a PairBuffer's storage, so the operator describes the pairs
+    held at build time only until the buffer's next push.
     """
 
-    def __init__(self, pairs, scale: float, skip_tol: float = 1e-8):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+    def __init__(self, scale: float, u: np.ndarray, m: np.ndarray, skipped: int, fallback: bool):
         self.scale = scale
-        self.skipped = 0
-        self._updates: list[tuple[Vector, float]] = []
-        self._dim = pairs[0].s.shape[0] if pairs else None
-        for pair in pairs:
-            if pair.s.shape[0] != self._dim:
-                raise ValueError("curvature pairs have inconsistent dimensions")
-            # a vanished displacement or curvature carries no information and
-            # would inject a singular direction the denominator rule misses
-            if not np.any(pair.s) or not np.any(pair.y):
-                self.skipped += 1
-                continue
-            v = pair.s - self.apply(pair.y)
-            vty = float(v @ pair.y)
-            if abs(vty) <= skip_tol * np.linalg.norm(v) * np.linalg.norm(pair.y):
-                self.skipped += 1
-                continue
-            self._updates.append((v, vty))
-        self.fallback = bool(pairs) and not self._updates
+        self.u = u
+        self.m = m
+        self.skipped = skipped
+        self.fallback = fallback
 
     def apply(self, g: Vector) -> Vector:
-        if self._updates and g.shape[0] != self._dim:
-            raise ValueError(f"vector has dimension {g.shape[0]}, expected {self._dim}")
-        out = self.scale * g
-        for v, vty in self._updates:
-            out = out + (float(v @ g) / vty) * v
-        return out
+        if g.shape[0] != self.u.shape[1]:
+            raise ValueError(f"vector has dimension {g.shape[0]}, expected {self.u.shape[1]}")
+        return self.scale * g + (self.m @ (self.u @ g)) @ self.u
 
 
-class LbfgsOperator:
-    """Classical two-loop recursion over positive-curvature pairs.
+def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOperator:
+    """Limited-memory SR1 from H0 = scale * I over the pairs, oldest first.
 
-    Pairs with s^T y <= curvature_tol ||s|| ||y|| are dropped from both loops,
-    preserving positive definiteness. With at least one usable pair the
-    initial matrix is the standard scaling (s_m^T y_m)/(y_m^T y_m) * I built
-    from the newest pair; with none it falls back to h0 = scale * I.
+    Pair i contributes v_i v_i^T / (v_i^T y_i) with v_i = s_i - H_{i-1} y_i,
+    H_{i-1} being the operator built from the pairs kept before it. A pair is
+    skipped when s_i or y_i vanishes, or when |v_i^T y_i| <= skip_tol ||v_i||
+    ||y_i||, the standard SR1 safeguard against a vanishing denominator. The
+    kept v_i are the rows of U and M = diag(1 / v_i^T y_i).
     """
+    n = len(pairs)
+    v = np.empty((n, pairs.dimension))
+    inv_vty = np.empty(n)
+    k = 0
+    for slot in pairs.order():
+        s, y = pairs.s[slot], pairs.y[slot]
+        # a vanished displacement or curvature carries no information and
+        # would inject a singular direction the denominator rule misses
+        if not (np.any(s) and np.any(y)):
+            continue
+        hy = scale * y + (inv_vty[:k] * (v[:k] @ y)) @ v[:k]
+        np.subtract(s, hy, out=v[k])
+        vty = float(v[k] @ y)
+        if abs(vty) <= skip_tol * np.linalg.norm(v[k]) * np.linalg.norm(y):
+            continue
+        inv_vty[k] = 1.0 / vty
+        k += 1
+    return LowRankOperator(scale, v[:k], np.diag(inv_vty[:k]), n - k, n > 0 and k == 0)
 
-    def __init__(self, pairs, scale: float, curvature_tol: float = 1e-12):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        self.scale = scale
-        self.skipped = 0
-        kept = []
-        dim = pairs[0].s.shape[0] if pairs else None
-        for pair in pairs:
-            if pair.s.shape[0] != dim:
-                raise ValueError("curvature pairs have inconsistent dimensions")
-            sty = float(pair.s @ pair.y)
-            if sty <= curvature_tol * np.linalg.norm(pair.s) * np.linalg.norm(pair.y):
-                self.skipped += 1
-                continue
-            kept.append((pair.s, pair.y, 1.0 / sty))
-        self._kept = kept
-        self.fallback = bool(pairs) and not kept
-        self._dim = dim
 
-    def apply(self, g: Vector) -> Vector:
-        if not self._kept:
-            return self.scale * g
-        if g.shape[0] != self._dim:
-            raise ValueError(f"vector has dimension {g.shape[0]}, expected {self._dim}")
-        q = g.astype(np.float64, copy=True)
-        alphas = []
-        for s, y, rho in reversed(self._kept):
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-        alphas.reverse()
-        s_last, y_last, _ = self._kept[-1]
-        b0 = float(y_last @ y_last) / float(s_last @ y_last)
-        r = q / b0
-        for (s, y, rho), a in zip(self._kept, alphas):
-            beta = rho * float(y @ r)
-            r += s * (a - beta)
-        return r
+def _build_lbfgs(pairs: PairBuffer, scale: float, curvature_tol: float) -> LowRankOperator:
+    """Limited-memory BFGS in compact form over the positive-curvature pairs.
+
+    Pairs with s^T y <= curvature_tol ||s|| ||y|| are dropped, preserving
+    positive definiteness. With the kept pairs as rows S, Y, oldest first,
+    R = triu(S Y^T), D = diag(S Y^T) and H0 = gamma * I scaled by the newest
+    kept pair, gamma = s^T y / y^T y:
+
+        H = gamma I + [S; Y]^T [[R^-T (D + gamma Y Y^T) R^-1, -gamma R^-T],
+                                [-gamma R^-1,                  0         ]] [S; Y]
+
+    U is the buffer's own storage, so M is zero on dropped and unfilled
+    slots. With no kept pair, H = scale * I.
+    """
+    n = len(pairs)
+    s, y = pairs.s[:n], pairs.y[:n]
+    sy = s @ y.T
+    yy = y @ y.T
+    sty = np.diag(sy)
+    floor = curvature_tol * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(np.diag(yy))
+    order = pairs.order()
+    kept = order[sty[order] > floor[order]]
+    if kept.size == 0:
+        return LowRankOperator(scale, pairs.rows[:0], np.zeros((0, 0)), n, n > 0)
+    newest = kept[-1]
+    gamma = sty[newest] / yy[newest, newest]
+    r_inv = scipy.linalg.solve_triangular(np.triu(sy[np.ix_(kept, kept)]), np.eye(kept.size))
+    top = r_inv.T @ (np.diag(sty[kept]) + gamma * yy[np.ix_(kept, kept)]) @ r_inv
+    idx = np.concatenate([kept, pairs.capacity + kept])
+    m = np.zeros((2 * pairs.capacity, 2 * pairs.capacity))
+    m[np.ix_(idx, idx)] = np.block(
+        [[top, -gamma * r_inv.T], [-gamma * r_inv, np.zeros_like(r_inv)]]
+    )
+    return LowRankOperator(gamma, pairs.rows, m, n - kept.size, False)
 
 
 class DenseInverseOperator:
     """Exact inverse Hessian at a point, assembled column by column.
 
     Costs d Hessian-vector products plus one Cholesky factorization; only
-    meant for small problems and for exact-Hessian reference runs.
+    meant for small problems and for exact-Hessian reference runs. Raises
+    numpy.linalg.LinAlgError when the Hessian is not positive definite.
     """
 
     def __init__(self, oracle: ProblemOracle, x: Vector):
@@ -246,30 +246,12 @@ class DenseInverseOperator:
         return scipy.linalg.cho_solve(self._factor, g)
 
 
-def lsr1_apply(
-    pairs, c: float, g: Vector, skip_tol: float = 1e-8
-) -> tuple[Vector, int]:
-    """One-shot SR1 application H g; returns the result and the skip count."""
-    op = Lsr1Operator(pairs, c, skip_tol)
-    return op.apply(g), op.skipped
-
-
-def lbfgs_two_loop(
-    pairs, g: Vector, curvature_tol: float = 1e-12, c: float = 1.0
-) -> tuple[Vector, int]:
-    """One-shot two-loop application H g; returns the result and the skip count."""
-    op = LbfgsOperator(pairs, c, curvature_tol)
-    return op.apply(g), op.skipped
-
-
-def rebuild_operator(config: ApproxConfig, pairs):
-    """Build the configured limited-memory operator from a pair source."""
-    if isinstance(pairs, PairBuffer):
-        pairs = pairs.pairs
+def rebuild_operator(config: ApproxConfig, pairs: PairBuffer) -> LowRankOperator:
+    """Build the configured limited-memory operator from the buffered pairs."""
     if config.kind == KIND_LSR1:
-        return Lsr1Operator(pairs, config.h0_scale, config.sr1_skip_tol)
+        return _build_lsr1(pairs, config.h0_scale, config.sr1_skip_tol)
     if config.kind == KIND_LBFGS:
-        return LbfgsOperator(pairs, config.h0_scale, config.bfgs_curvature_tol)
+        return _build_lbfgs(pairs, config.h0_scale, config.bfgs_curvature_tol)
     raise ValueError(
         f"operator kind {config.kind!r} is not pair-based; build it in the driver"
     )

@@ -22,8 +22,6 @@ FORM_STANDARD = "STANDARD"
 FORM_EXACT_ROOT = "EXACT_ROOT"
 MODE_DUAL = "DUAL"
 MODE_REG = "REG"
-ACCEPTED_NONE = "NONE"
-ACCEPTED_FIXED = "FIXED"
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -106,7 +104,6 @@ class StepResult:
     alpha_used: float
     inner_count: int
     dual_norm_before: float
-    accepted_by: str
     cap_hit: bool = False
     f_next: float | None = None
     g_next: Vector | None = field(default=None, repr=False)
@@ -159,7 +156,6 @@ def ceqn_step(
         alpha_used=0.0,
         inner_count=0,
         dual_norm_before=gdual,
-        accepted_by=ACCEPTED_NONE,
     )
 
 
@@ -181,13 +177,6 @@ def adaptive_stepsize(cubic: float, alpha: float, gdual: float) -> float:
     return 2.0 / (c + math.sqrt(c * c + lg))
 
 
-def _dual_threshold(gdual_next: float, alpha: float, cubic: float) -> float:
-    return min(
-        gdual_next**2 / (4.0 * alpha),
-        gdual_next**1.5 / math.sqrt(6.0 * (1.0 + alpha) ** 1.5 * cubic),
-    )
-
-
 def check_dual(
     g_next: Vector,
     x_k: Vector,
@@ -196,19 +185,24 @@ def check_dual(
     alpha: float,
     cubic: float,
     grad_tol: float = 1e-12,
-) -> bool:
-    """DUAL acceptance test; True means the step is rejected.
+) -> tuple[bool, float | None]:
+    """DUAL acceptance test; returns (rejected, ||g+||*).
 
     Rejects when <g+, x_k - x+> fails to exceed the curvature-scaled
     threshold min{ (||g+||*)^2 / 4a, (||g+||*)^{3/2} / sqrt(6 (1+a)^{3/2} L) },
-    with the dual norm taken under the frozen operator of this iteration.
-    Accepts immediately once ||g+||^2 <= grad_tol.
+    with the dual norm taken under the frozen operator of this iteration (one
+    operator application). Accepts immediately once ||g+||^2 <= grad_tol,
+    without the dual norm, which is then returned as None.
     """
     if float(g_next @ g_next) <= grad_tol:
-        return False
+        return False, None
     gdual_next, _ = dual_norm(operator, g_next)
     lhs = float(g_next @ (x_k - x_next))
-    return lhs <= _dual_threshold(gdual_next, alpha, cubic)
+    threshold = min(
+        gdual_next**2 / (4.0 * alpha),
+        gdual_next**1.5 / math.sqrt(6.0 * (1.0 + alpha) ** 1.5 * cubic),
+    )
+    return lhs <= threshold, gdual_next
 
 
 def check_reg(
@@ -266,12 +260,9 @@ def adaptive_iteration(
             rejected = check_reg(f_k, f_next, eta, gdual, params.cubic, alpha)
         else:
             g_next = oracle.gradient(x_next)
-            if float(g_next @ g_next) <= params.grad_tol:
-                rejected = False
-            else:
-                gdual_next, _ = dual_norm(operator, g_next)
-                lhs = float(g_next @ (x_k - x_next))
-                rejected = lhs <= _dual_threshold(gdual_next, alpha, params.cubic)
+            rejected, gdual_next = check_dual(
+                g_next, x_k, x_next, operator, alpha, params.cubic, params.grad_tol
+            )
         if not rejected or inner >= params.max_inner:
             break
         alpha *= params.gamma_inc
@@ -282,7 +273,6 @@ def adaptive_iteration(
         alpha_used=alpha,
         inner_count=inner,
         dual_norm_before=gdual,
-        accepted_by=params.mode,
         cap_hit=rejected,
         f_next=f_next,
         g_next=g_next,
@@ -314,5 +304,4 @@ def fixed_step_iteration(
         alpha_used=0.0,
         inner_count=0,
         dual_norm_before=gdual,
-        accepted_by=ACCEPTED_FIXED,
     )

@@ -19,8 +19,8 @@ from ceqn.driver import SolverConfig, run_solver
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
-    LbfgsOperator,
-    Lsr1Operator,
+    ScaledIdentityOperator,
+    rebuild_operator,
     sample_pairs,
 )
 from ceqn.problems import CountingOracle, QuadraticProblem, finite_diff_gradient
@@ -85,7 +85,7 @@ def test_criterion_02_sr1_hereditary_exactness():
         a = random_spd(rng, d)
         oracle = CountingOracle(QuadraticProblem(a, np.zeros(d)))
         pairs = sample_pairs(oracle, np.zeros(d), d, rng)
-        op = Lsr1Operator(pairs, 1.0)
+        op = rebuild_operator(ApproxConfig(kind="LSR1", h0_scale=1.0), pairs)
         skips += op.skipped
         inv = np.linalg.inv(a)
         for _ in range(10):
@@ -115,8 +115,10 @@ def test_criterion_03_secant_conditions():
             int(rng.integers(2, 6)),
             rng,
         )
-        s, y = pairs[-1].s, pairs[-1].y
-        for op in (Lsr1Operator(pairs, 0.5), LbfgsOperator(pairs, 0.5)):
+        newest = pairs.order()[-1]
+        s, y = pairs.s[newest], pairs.y[newest]
+        for kind in ("LSR1", "LBFGS"):
+            op = rebuild_operator(ApproxConfig(kind=kind, h0_scale=0.5), pairs)
             if np.linalg.norm(op.apply(y) - s) > 1e-8 * (1.0 + np.linalg.norm(s)):
                 ok = False
     elapsed = time.perf_counter() - start
@@ -133,6 +135,7 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
     rng = np.random.default_rng(seed)
     oracle = CountingOracle(problem)
     params = AdaptiveParams(cubic=cubic, alpha0=1.0, mode="DUAL")
+    approx = ApproxConfig(kind="LSR1", h0_scale=1e-2)
     x = np.ones(oracle.dimension)
     f = oracle.value(x)
     g = oracle.gradient(x)
@@ -142,12 +145,11 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
     for k in range(iters):
         if float(g @ g) <= 1e-12:
             break
-        pairs = sample_pairs(oracle, x, approx_memory, rng)
-        operator = Lsr1Operator(pairs, 1e-2)
+        operator = rebuild_operator(approx, sample_pairs(oracle, x, approx_memory, rng))
         try:
             res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
-            operator = Lsr1Operator([], 1e-2)
+            operator = ScaledIdentityOperator(1e-2)
             res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
         f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
         guarded = (

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceqn.hessian import (
     ApproxConfig,
-    CurvaturePair,
     DenseInverseOperator,
-    LbfgsOperator,
-    Lsr1Operator,
     PairBuffer,
     ScaledIdentityOperator,
-    collect_history_pair,
-    lbfgs_two_loop,
-    lsr1_apply,
     rebuild_operator,
     sample_pairs,
 )
@@ -20,33 +16,107 @@ from ceqn.problems import CountingOracle, QuadraticProblem
 from conftest import random_spd
 
 
+def build(kind, pairs, scale):
+    return rebuild_operator(ApproxConfig(kind=kind, h0_scale=scale), pairs)
+
+
+def buffer_of(d, pairs, capacity=None):
+    """A buffer holding the (s, y) pairs, oldest first."""
+    buf = PairBuffer(capacity or max(len(pairs), 1), d)
+    for s, y in pairs:
+        buf.push(s, y)
+    return buf
+
+
 def quadratic_pairs(a, rng, count):
     """Exact curvature pairs (d_i, A d_i) along random directions."""
-    return [
-        CurvaturePair(d, a @ d)
-        for d in (rng.normal(size=a.shape[0]) for _ in range(count))
+    d = a.shape[0]
+    return buffer_of(d, [(s, a @ s) for s in rng.normal(size=(count, d))])
+
+
+def newest(buf):
+    slot = buf.order()[-1]
+    return buf.s[slot], buf.y[slot]
+
+
+def dense_lsr1(pairs, c, d, skip_tol=1e-8):
+    """SR1 by explicit dense rank-one updates; returns (H, skipped)."""
+    dense = c * np.eye(d)
+    skipped = 0
+    for s, y in pairs:
+        if not np.any(s) or not np.any(y):
+            skipped += 1
+            continue
+        v = s - dense @ y
+        vty = float(v @ y)
+        if abs(vty) <= skip_tol * np.linalg.norm(v) * np.linalg.norm(y):
+            skipped += 1
+            continue
+        dense = dense + np.outer(v, v) / vty
+    return dense, skipped
+
+
+def dense_lbfgs(pairs, c, d, curvature_tol=1e-12):
+    """BFGS by explicit dense inverse updates over the positive-curvature
+    pairs, from H0 scaled by the newest of them; returns (H, skipped)."""
+    kept = [
+        (s, y)
+        for s, y in pairs
+        if float(s @ y) > curvature_tol * np.linalg.norm(s) * np.linalg.norm(y)
     ]
+    if not kept:
+        return c * np.eye(d), len(pairs)
+    s_new, y_new = kept[-1]
+    dense = float(s_new @ y_new) / float(y_new @ y_new) * np.eye(d)
+    for s, y in kept:
+        rho = 1.0 / float(s @ y)
+        left = np.eye(d) - rho * np.outer(s, y)
+        dense = left @ dense @ left.T + rho * np.outer(s, s)
+    return dense, len(pairs) - len(kept)
+
+
+PAIR_KINDS = ("quadratic", "gaussian", "negative", "zero_s", "zero_y")
+
+
+@st.composite
+def pair_histories(draw):
+    """Pushes into a small buffer; numpy draws the vectors from a seed.
+
+    Capacity stays below the dimension and at most one pair has s = c*y
+    ("h0"). A pair whose SR1 update vector is pure round-off, as after d
+    consistent pairs or after a second s = c*y pair cancels the first one's
+    update, has no well-defined skip decision.
+    """
+    d = draw(st.integers(2, 8))
+    capacity = draw(st.integers(1, d - 1))
+    kinds = draw(st.lists(st.sampled_from(PAIR_KINDS), max_size=12))
+    h0_at = draw(st.none() | st.integers(0, len(kinds)))
+    if h0_at is not None:
+        kinds.insert(h0_at, "h0")
+    scale = draw(st.sampled_from((0.1, 0.5, 1.0, 3.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, capacity, kinds, scale, seed
 
 
 class TestLsr1:
     def test_empty_pairs_is_scaled_identity(self, rng):
         g = rng.normal(size=6)
-        out, skipped = lsr1_apply([], 0.5, g)
-        np.testing.assert_array_equal(out, 0.5 * g)
-        assert skipped == 0
+        op = build("LSR1", PairBuffer(3, 6), 0.5)
+        np.testing.assert_array_equal(op.apply(g), 0.5 * g)
+        assert op.skipped == 0 and not op.fallback
 
     def test_pair_matching_h0_is_skipped(self, rng):
         y = rng.normal(size=4)
         c = 0.7
-        out, skipped = lsr1_apply([CurvaturePair(c * y, y)], c, y)
-        assert skipped == 1
-        np.testing.assert_array_equal(out, c * y)
+        op = build("LSR1", buffer_of(4, [(c * y, y)]), c)
+        assert op.skipped == 1
+        np.testing.assert_array_equal(op.apply(y), c * y)
 
     def test_hereditary_exactness_on_quadratic(self, rng):
         a = random_spd(rng, 4)
         pairs = quadratic_pairs(a, rng, 4)
         inv = np.linalg.inv(a)
-        op = Lsr1Operator(pairs, 1.0)
+        op = build("LSR1", pairs, 1.0)
         assert op.skipped == 0
         g = rng.normal(size=4)
         expected = inv @ g
@@ -56,25 +126,21 @@ class TestLsr1:
     def test_secant_on_newest_pair(self, rng):
         a = random_spd(rng, 7)
         pairs = quadratic_pairs(a, rng, 3)
-        op = Lsr1Operator(pairs, 0.3)
-        s, y = pairs[-1].s, pairs[-1].y
+        op = build("LSR1", pairs, 0.3)
+        s, y = newest(pairs)
         assert np.linalg.norm(op.apply(y) - s) <= 1e-8 * (1.0 + np.linalg.norm(s))
 
     def test_all_pairs_skipped_sets_fallback(self, rng):
         y = rng.normal(size=5)
         c = 0.2
-        pairs = [CurvaturePair(c * y, y), CurvaturePair(2 * c * y, 2 * y)]
-        op = Lsr1Operator(pairs, c)
+        op = build("LSR1", buffer_of(5, [(c * y, y), (2 * c * y, 2 * y)]), c)
         assert op.fallback and op.skipped == 2
         g = rng.normal(size=5)
         np.testing.assert_array_equal(op.apply(g), c * g)
 
     def test_degenerate_pairs_never_produce_nan(self, rng):
-        pairs = [
-            CurvaturePair(np.zeros(3), np.zeros(3)),
-            CurvaturePair(rng.normal(size=3), np.zeros(3)),
-        ]
-        op = Lsr1Operator(pairs, 1.0)
+        pairs = buffer_of(3, [(np.zeros(3), np.zeros(3)), (rng.normal(size=3), np.zeros(3))])
+        op = build("LSR1", pairs, 1.0)
         assert op.skipped <= len(pairs)
         assert np.all(np.isfinite(op.apply(rng.normal(size=3))))
 
@@ -82,57 +148,46 @@ class TestLsr1:
 class TestLbfgs:
     def test_empty_memory_uses_h0_scale(self, rng):
         g = rng.normal(size=5)
-        out, skipped = lbfgs_two_loop([], g, c=1e-4)
-        np.testing.assert_array_equal(out, 1e-4 * g)
-        assert skipped == 0
+        op = build("LBFGS", PairBuffer(3, 5), 1e-4)
+        np.testing.assert_array_equal(op.apply(g), 1e-4 * g)
+        assert op.skipped == 0 and not op.fallback
 
     def test_single_pair_secant_algebra(self, rng):
         y = rng.normal(size=6)
-        out, _ = lbfgs_two_loop([CurvaturePair(y.copy(), y.copy())], y.copy())
-        np.testing.assert_allclose(out, y, rtol=1e-12)
+        op = build("LBFGS", buffer_of(6, [(y, y)]), 1.0)
+        np.testing.assert_allclose(op.apply(y), y, rtol=1e-12)
 
     def test_secant_on_quadratic(self, rng):
         a = random_spd(rng, 5)
         pairs = quadratic_pairs(a, rng, 5)
-        op = LbfgsOperator(pairs, 1.0)
-        s, y = pairs[-1].s, pairs[-1].y
+        op = build("LBFGS", pairs, 1.0)
+        s, y = newest(pairs)
         assert np.linalg.norm(op.apply(y) - s) <= 1e-8 * (1.0 + np.linalg.norm(s))
 
     def test_nonpositive_curvature_skipped(self, rng):
         s = rng.normal(size=4)
-        bad = CurvaturePair(s, -s)  # s^T y < 0
-        good = CurvaturePair(s, 2.0 * s)
-        op = LbfgsOperator([bad, good], 1.0)
+        # s^T y < 0, then a usable pair
+        op = build("LBFGS", buffer_of(4, [(s, -s), (s, 2.0 * s)]), 1.0)
         assert op.skipped == 1
         assert np.all(np.isfinite(op.apply(rng.normal(size=4))))
 
     def test_all_skipped_sets_fallback(self, rng):
         s = rng.normal(size=4)
-        op = LbfgsOperator([CurvaturePair(s, -s)], 0.5)
+        op = build("LBFGS", buffer_of(4, [(s, -s)]), 0.5)
         assert op.fallback
         g = rng.normal(size=4)
         np.testing.assert_array_equal(op.apply(g), 0.5 * g)
 
 
 class TestDenseReferenceEquivalence:
-    """The matrix-free recursions must match explicit dense update formulas."""
+    """The low-rank operators must match explicit dense update formulas."""
 
     def test_lsr1_matches_dense_rank_one_updates(self, rng):
         d = 7
-        pairs = [
-            CurvaturePair(rng.normal(size=d), rng.normal(size=d)) for _ in range(5)
-        ]
+        pairs = [(rng.normal(size=d), rng.normal(size=d)) for _ in range(5)]
         c = 0.4
-        dense = c * np.eye(d)
-        for p in pairs:
-            if not np.any(p.s) or not np.any(p.y):
-                continue
-            v = p.s - dense @ p.y
-            vty = float(v @ p.y)
-            if abs(vty) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(p.y):
-                continue
-            dense = dense + np.outer(v, v) / vty
-        op = Lsr1Operator(pairs, c)
+        dense, _ = dense_lsr1(pairs, c, d)
+        op = build("LSR1", buffer_of(d, pairs), c)
         for _ in range(5):
             g = rng.normal(size=d)
             np.testing.assert_allclose(op.apply(g), dense @ g, rtol=1e-10, atol=1e-12)
@@ -140,54 +195,82 @@ class TestDenseReferenceEquivalence:
     def test_lbfgs_matches_dense_inverse_updates(self, rng):
         d = 6
         spd = random_spd(rng, d)
-        pairs = quadratic_pairs(spd, rng, 4)
-        s_new, y_new = pairs[-1].s, pairs[-1].y
-        h0 = float(s_new @ y_new) / float(y_new @ y_new)
-        dense = h0 * np.eye(d)
-        for p in pairs:
-            rho = 1.0 / float(p.s @ p.y)
-            left = np.eye(d) - rho * np.outer(p.s, p.y)
-            dense = left @ dense @ left.T + rho * np.outer(p.s, p.s)
-        op = LbfgsOperator(pairs, 1.0)
+        pairs = [(s, spd @ s) for s in rng.normal(size=(4, d))]
+        dense, _ = dense_lbfgs(pairs, 1.0, d)
+        op = build("LBFGS", buffer_of(d, pairs), 1.0)
         for _ in range(5):
             g = rng.normal(size=d)
             np.testing.assert_allclose(op.apply(g), dense @ g, rtol=1e-10, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pair_histories())
+    def test_random_histories_match_dense_updates(self, history):
+        d, capacity, kinds, scale, seed = history
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, d)
+        buf = PairBuffer(capacity, d)
+        pushed = []
+        for kind in kinds:
+            s, y = rng.normal(size=d), rng.normal(size=d)
+            if kind == "quadratic":
+                y = a @ s
+            elif kind == "negative":
+                y = -(a @ s)
+            elif kind == "h0":
+                s = scale * y
+            elif kind == "zero_s":
+                s = np.zeros(d)
+            elif kind == "zero_y":
+                y = np.zeros(d)
+            buf.push(s, y)
+            pushed.append((s, y))
+        stored = pushed[-capacity:]
+        for kind, reference in (("LSR1", dense_lsr1), ("LBFGS", dense_lbfgs)):
+            op = build(kind, buf, scale)
+            dense, skipped = reference(stored, scale, d)
+            assert op.skipped == skipped
+            assert op.fallback == (bool(stored) and skipped == len(stored))
+            for g in rng.normal(size=(3, d)):
+                np.testing.assert_allclose(op.apply(g), dense @ g, rtol=1e-10, atol=1e-12)
+
 
 class TestPairSources:
     def test_history_pair_contents(self, rng):
-        buf = PairBuffer(3)
+        buf = PairBuffer(3, 4)
         x0, x1 = rng.normal(size=4), rng.normal(size=4)
         g0, g1 = rng.normal(size=4), rng.normal(size=4)
-        collect_history_pair(buf, x0, x1, g0, g1)
-        pair = buf.pairs[0]
-        np.testing.assert_array_equal(pair.s, x1 - x0)
-        np.testing.assert_array_equal(pair.y, g1 - g0)
+        buf.push(x1 - x0, g1 - g0)
+        s, y = newest(buf)
+        np.testing.assert_array_equal(s, x1 - x0)
+        np.testing.assert_array_equal(y, g1 - g0)
 
     def test_null_step_pair_dropped_by_skip_rules(self, rng):
-        buf = PairBuffer(3)
+        buf = PairBuffer(3, 4)
         x = rng.normal(size=4)
-        g0, g1 = rng.normal(size=4), rng.normal(size=4)
-        collect_history_pair(buf, x, x, g0, g1)
-        op = Lsr1Operator(buf.pairs, 1.0)
-        assert op.skipped == 1
+        buf.push(x - x, rng.normal(size=4) - rng.normal(size=4))
+        assert build("LSR1", buf, 1.0).skipped == 1
+        assert build("LBFGS", buf, 1.0).skipped == 1
 
     def test_fifo_eviction_at_capacity(self, rng):
-        buf = PairBuffer(2)
-        pairs = [CurvaturePair(np.full(2, float(i)), np.ones(2)) for i in range(3)]
-        for p in pairs:
-            buf.push(p)
+        buf = PairBuffer(2, 2)
+        for i in range(3):
+            buf.push(np.full(2, float(i)), np.ones(2))
         assert len(buf) == 2
-        assert buf.pairs[0] is pairs[1] and buf.pairs[1] is pairs[2]
+        np.testing.assert_array_equal(buf.s[buf.order()], [[1.0, 1.0], [2.0, 2.0]])
+
+    def test_push_rejects_mismatched_shapes(self):
+        buf = PairBuffer(2, 3)
+        with pytest.raises(ValueError):
+            buf.push(np.zeros(3), np.zeros(4))
 
     def test_history_y_matches_hvp_on_quadratic(self, rng):
         a = random_spd(rng, 5)
         prob = QuadraticProblem(a, rng.normal(size=5))
         x0, x1 = rng.normal(size=5), rng.normal(size=5)
-        buf = PairBuffer(1)
-        collect_history_pair(buf, x0, x1, prob.gradient(x0), prob.gradient(x1))
-        pair = buf.pairs[0]
-        np.testing.assert_allclose(pair.y, prob.hvp(x0, pair.s), rtol=1e-12)
+        buf = PairBuffer(1, 5)
+        buf.push(x1 - x0, prob.gradient(x1) - prob.gradient(x0))
+        s, y = newest(buf)
+        np.testing.assert_allclose(y, prob.hvp(x0, s), rtol=1e-12)
 
     def test_sampling_is_deterministic(self, rng):
         a = random_spd(rng, 4)
@@ -195,50 +278,60 @@ class TestPairSources:
         x = rng.normal(size=4)
         first = sample_pairs(oracle, x, 5, np.random.default_rng(99))
         second = sample_pairs(oracle, x, 5, np.random.default_rng(99))
-        for p, q in zip(first, second):
-            np.testing.assert_array_equal(p.s, q.s)
-            np.testing.assert_array_equal(p.y, q.y)
+        np.testing.assert_array_equal(first.rows, second.rows)
+
+    def test_sampling_draws_one_direction_per_probe(self):
+        oracle = CountingOracle(QuadraticProblem(np.eye(3), np.zeros(3)))
+        pairs = sample_pairs(oracle, np.zeros(3), 4, np.random.default_rng(7))
+        separate = np.random.default_rng(7)
+        expected = [separate.standard_normal(3) for _ in range(4)]
+        np.testing.assert_array_equal(pairs.s[pairs.order()], expected)
 
     def test_sampling_counts_hvp_calls(self, rng):
         oracle = CountingOracle(QuadraticProblem(np.eye(3), np.zeros(3)))
-        sample_pairs(oracle, np.zeros(3), 10, rng)
-        assert oracle.n_hvp == 10
+        pairs = sample_pairs(oracle, np.zeros(3), 10, rng)
+        assert oracle.n_hvp == 10 and len(pairs) == 10
 
     def test_sampled_y_is_exact_on_quadratic(self, rng):
         a = random_spd(rng, 4)
         oracle = CountingOracle(QuadraticProblem(a, np.zeros(4)))
-        for pair in sample_pairs(oracle, np.zeros(4), 3, rng):
-            np.testing.assert_array_equal(pair.y, a @ pair.s)
+        pairs = sample_pairs(oracle, np.zeros(4), 3, rng)
+        for s, y in zip(pairs.s, pairs.y):
+            np.testing.assert_array_equal(y, a @ s)
 
 
 class TestRebuild:
     def test_lsr1_empty_equals_scaled_identity(self, rng):
         config = ApproxConfig(kind="LSR1", h0_scale=0.25)
-        op = rebuild_operator(config, [])
+        op = rebuild_operator(config, PairBuffer(2, 5))
         g = rng.normal(size=5)
         np.testing.assert_array_equal(op.apply(g), 0.25 * g)
 
     def test_lbfgs_single_pair_secant(self, rng):
         a = random_spd(rng, 4)
-        config = ApproxConfig(kind="LBFGS")
-        op = rebuild_operator(config, quadratic_pairs(a, rng, 1))
-        # rebuilt from a buffer as well
-        buf = PairBuffer(2)
-        pair = quadratic_pairs(a, rng, 1)[0]
-        buf.push(pair)
-        op = rebuild_operator(config, buf)
-        assert np.linalg.norm(op.apply(pair.y) - pair.s) <= 1e-8
+        # a buffer with a free slot
+        buf = PairBuffer(2, 4)
+        s = rng.normal(size=4)
+        buf.push(s, a @ s)
+        op = rebuild_operator(ApproxConfig(kind="LBFGS"), buf)
+        assert np.linalg.norm(op.apply(a @ s) - s) <= 1e-8
 
     def test_exact_kind_is_not_pair_based(self):
         with pytest.raises(ValueError):
-            rebuild_operator(ApproxConfig(kind="EXACT"), [])
+            rebuild_operator(ApproxConfig(kind="EXACT"), PairBuffer(1, 3))
+
+    def test_apply_rejects_wrong_dimension(self, rng):
+        pairs = quadratic_pairs(random_spd(rng, 4), rng, 2)
+        for kind in ("LSR1", "LBFGS"):
+            with pytest.raises(ValueError):
+                build(kind, pairs, 1.0).apply(np.ones(5))
 
     def test_linearity_of_apply(self, rng):
         a = random_spd(rng, 6)
         pairs = quadratic_pairs(a, rng, 4)
         for op in (
-            Lsr1Operator(pairs, 0.5),
-            LbfgsOperator(pairs, 0.5),
+            build("LSR1", pairs, 0.5),
+            build("LBFGS", pairs, 0.5),
             ScaledIdentityOperator(0.5),
         ):
             for _ in range(5):
