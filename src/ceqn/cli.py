@@ -87,17 +87,33 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
-    """Execute one configured run and write its artifacts; never raises."""
+    """Execute one configured run and write its artifacts.
+
+    A run that diverges keeps its partial artifacts with status ``failed``.
+    Any other exception the run raises becomes a row with status ``error``,
+    the exception type and message, and no artifacts, so the rest of a sweep
+    still runs. Only failing to write into ``out_dir`` raises.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = spec.to_solver_config()
     status = "ok"
     message = ""
     try:
-        result = run_solver(problem, config)
+        result = run_solver(problem, spec.to_solver_config())
     except NumericalFailureError as exc:
         result = exc.result
         status = "failed"
         message = str(exc)
+    except Exception as exc:  # noqa: BLE001 - one run's crash is data, not a sweep abort
+        return {
+            "run_id": out_dir.name,
+            "status": "error",
+            "message": f"{type(exc).__name__}: {exc}",
+            "seed": spec["seed"],
+            "termination": None,
+            "iterations": 0,
+            "final_f": None,
+            "final_grad_norm_sq": None,
+        }
     write_trace_csv(result, out_dir / "trace.csv")
     write_summary_json(result, out_dir / "summary.json", dataset_info)
     return {
@@ -140,12 +156,16 @@ def cmd_run(args) -> int:
 def select_winner(rows: list[dict], parameter: str) -> dict | None:
     """Pick the grid winner from summary rows: lowest median final f,
     ties broken by lower median final squared gradient norm, then by the
-    smaller parameter value. Failed runs count as +inf. Pure function of the
+    smaller parameter value. Failed runs count as +inf; runs that raised
+    (status ``error``) left no result and are skipped. Pure function of the
     rows, so re-running selection on saved artifacts reproduces the winner.
     """
     by_value: dict[float, list[dict]] = {}
     for row in rows:
-        by_value.setdefault(row[parameter], []).append(row)
+        if row["status"] != "error":
+            by_value.setdefault(row[parameter], []).append(row)
+    if not by_value:
+        return None
 
     def med(entries, key):
         vals = [

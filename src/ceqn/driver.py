@@ -249,8 +249,9 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
             try:
                 operator = DenseInverseOperator(oracle, x)
             except np.linalg.LinAlgError:
-                # a Hessian that is not positive definite (mu = 0 on a
-                # rank-deficient design) gets the indefinite-operator fallback
+                # a Hessian that is not positive definite or is singular to
+                # working precision (mu = 0 on a rank-deficient design) gets
+                # the indefinite-operator fallback
                 operator = ScaledIdentityOperator(config.approx.h0_scale)
         elif buffer is None:
             pairs = sample_pairs(oracle, x, config.approx.memory, rng)

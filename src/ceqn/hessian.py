@@ -102,17 +102,20 @@ class PairBuffer:
 def sample_pairs(
     oracle: ProblemOracle, x: Vector, m: int, rng: np.random.Generator
 ) -> PairBuffer:
-    """Draw m standard-normal directions d_i and pair them with hvp(x, d_i).
+    """Draw m standard-normal directions d_i and pair them with H(x) d_i.
 
     Decouples curvature estimation from the trajectory; costs exactly m
-    Hessian-vector products. Deterministic given the generator state: one
-    (m, d) draw consumes the same stream as m draws of size d.
+    Hessian-vector products, made in one ``hvp_batch`` call. Deterministic
+    given the generator state: one (m, d) draw consumes the same stream as m
+    draws of size d. The directions are drawn straight into the buffer's s
+    rows, oldest first.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     pairs = PairBuffer(m, oracle.dimension)
-    for d in rng.standard_normal((m, oracle.dimension)):
-        pairs.push(d, oracle.hvp(x, d))
+    rng.standard_normal(out=pairs.s)
+    pairs.y[:] = oracle.hvp_batch(x, pairs.s)
+    pairs._pushed = m
     return pairs
 
 
@@ -223,22 +226,25 @@ def _build_lbfgs(pairs: PairBuffer, scale: float, curvature_tol: float) -> LowRa
 
 
 class DenseInverseOperator:
-    """Exact inverse Hessian at a point, assembled column by column.
+    """Exact inverse Hessian at a point, assembled from d unit probes.
 
-    Costs d Hessian-vector products plus one Cholesky factorization; only
-    meant for small problems and for exact-Hessian reference runs. Raises
-    numpy.linalg.LinAlgError when the Hessian is not positive definite.
+    Costs d Hessian-vector products (one ``hvp_batch`` over the identity)
+    plus one Cholesky factorization; only meant for small problems and for
+    exact-Hessian reference runs. Raises numpy.linalg.LinAlgError when the
+    Hessian is not positive definite, or when its Cholesky factor has a
+    pivot p with p^2 < d * eps * max(p)^2: such a Hessian is singular up to
+    round-off even though the factorization went through.
     """
 
     def __init__(self, oracle: ProblemOracle, x: Vector):
         d = oracle.dimension
         _check_dim(x, d)
-        hess = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            hess[:, j] = oracle.hvp(x, e)
+        # row j is H e_j, i.e. column j of the symmetric Hessian
+        hess = oracle.hvp_batch(x, np.eye(d))
         self._factor = scipy.linalg.cho_factor((hess + hess.T) / 2.0)
+        pivots = np.diag(self._factor[0]) ** 2
+        if pivots.min() < d * np.finfo(np.float64).eps * pivots.max():
+            raise np.linalg.LinAlgError("Hessian is singular to working precision")
         self.skipped = 0
         self.fallback = False
 

@@ -30,6 +30,11 @@ def _check_dim(x: np.ndarray, d: int, what: str = "x") -> None:
         )
 
 
+def _check_batch(v: np.ndarray, d: int) -> None:
+    if v.ndim != 2 or v.shape[1] != d:
+        raise DimensionMismatchError(f"V has shape {v.shape}, expected (m, {d})")
+
+
 def _log1p_exp_neg(t: np.ndarray) -> np.ndarray:
     """log(1 + exp(-t)) evaluated without overflow for either sign of t."""
     out = np.empty_like(t)
@@ -53,7 +58,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 @runtime_checkable
 class ProblemOracle(Protocol):
-    """Interface solvers rely on: dimension plus f, grad-f, and Hessian action."""
+    """Interface solvers rely on: dimension plus f, grad-f, and Hessian action.
+
+    ``hvp_batch(x, V)`` takes an (m, d) array of directions and returns the
+    (m, d) array whose row i is H(x) v_i, so m probes at one point share the
+    work that depends only on x.
+    """
 
     dimension: int
 
@@ -62,6 +72,8 @@ class ProblemOracle(Protocol):
     def gradient(self, x: Vector) -> Vector: ...
 
     def hvp(self, x: Vector, v: Vector) -> Vector: ...
+
+    def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray: ...
 
 
 class LogisticProblem:
@@ -115,12 +127,21 @@ class LogisticProblem:
         return self.design.T @ coeff + self.mu * x
 
     def hvp(self, x: Vector, v: Vector) -> Vector:
-        _check_dim(x, self.dimension)
         _check_dim(v, self.dimension, "v")
+        return self.hvp_batch(x, v[None])[0]
+
+    def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
+        """Rows H(x) v_i: margins and weights once, then two sparse mat-mats.
+
+        ``design.T`` is the CSC view of the CSR design, not a copy; with a
+        handful of directions it is faster than a cached CSR transpose.
+        """
+        _check_dim(x, self.dimension)
+        _check_batch(V, self.dimension)
         t = self._margins(x)
         sig = _sigmoid(t)
         w = sig * (1.0 - sig) / self.n
-        return self.design.T @ (w * (self.design @ v)) + self.mu * v
+        return (self.design.T @ (w[:, None] * (self.design @ V.T))).T + self.mu * V
 
 
 class QuadraticProblem:
@@ -157,9 +178,15 @@ class QuadraticProblem:
         return self.matrix @ x - self.linear
 
     def hvp(self, x: Vector, v: Vector) -> Vector:
-        _check_dim(x, self.dimension)
         _check_dim(v, self.dimension, "v")
-        return self.matrix @ v
+        return self.hvp_batch(x, v[None])[0]
+
+    def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
+        _check_dim(x, self.dimension)
+        _check_batch(V, self.dimension)
+        # a stack of matrix-vector products, so row i equals matrix @ V[i]
+        # bit for bit; one matrix-matrix product would round differently
+        return (self.matrix @ V[:, :, None])[:, :, 0]
 
     def solution(self) -> Vector:
         """Unique minimizer, solving A x = b."""
@@ -170,7 +197,8 @@ class CountingOracle:
     """Wraps a problem and counts evaluations.
 
     One instance per solver run; the wrapped problem stays immutable and
-    shareable. Each oracle call bumps exactly one counter.
+    shareable. Each oracle call bumps exactly one counter; ``n_hvp`` counts
+    Hessian-vector products, so a batch of m directions adds m.
     """
 
     def __init__(self, problem: ProblemOracle):
@@ -191,6 +219,10 @@ class CountingOracle:
     def hvp(self, x: Vector, v: Vector) -> Vector:
         self.n_hvp += 1
         return self.problem.hvp(x, v)
+
+    def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
+        self.n_hvp += V.shape[0]
+        return self.problem.hvp_batch(x, V)
 
 
 def finite_diff_gradient(oracle: ProblemOracle, x: Vector, h: float = 1e-6) -> Vector:

@@ -46,6 +46,9 @@ class AffinePullback:
     def hvp(self, x, v):
         return self.a.T @ self.problem.hvp(self.a @ x, self.a @ v)
 
+    def hvp_batch(self, x, V):
+        return self.problem.hvp_batch(self.a @ x, V @ self.a.T) @ self.a
+
 
 @pytest.fixture
 def rng():

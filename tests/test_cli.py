@@ -13,6 +13,7 @@ from ceqn.cli import (
     select_winner,
 )
 from ceqn.data_io import read_trace_csv
+from ceqn.driver import run_solver
 
 from conftest import FIXTURE_LIBSVM
 
@@ -158,6 +159,38 @@ class TestGrid:
         report = json.loads((out / "grid-report.json").read_text())
         assert len(report["rows"]) == 6
 
+    def test_raising_run_becomes_error_row(self, fixed_config, tmp_path, capsys, monkeypatch):
+        def flaky(problem, config):
+            if config.seed == 1:
+                raise MemoryError("probe buffer")
+            return run_solver(problem, config)
+
+        monkeypatch.setattr("ceqn.cli.run_solver", flaky)
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(fixed_config), "--out", str(out),
+            "--values", "1,10", "--seeds", "0,1,2",
+        ])
+        assert code == 0
+        report = json.loads((out / "grid-report.json").read_text())
+        assert len(report["rows"]) == 6
+        errors = [row for row in report["rows"] if row["status"] == "error"]
+        assert [(row["cubic"], row["seed"]) for row in errors] == [(1.0, 1), (10.0, 1)]
+        for row in errors:
+            assert row["message"] == "MemoryError: probe buffer"
+            assert list((out / row["run_id"]).iterdir()) == []
+        assert all(row["status"] == "ok" for row in report["rows"] if row["seed"] != 1)
+
+        # the winner and the compare report see only the runs that completed
+        clean = tmp_path / "clean"
+        main([
+            "grid", "--config", str(fixed_config), "--out", str(clean),
+            "--values", "1,10", "--seeds", "0,2",
+        ])
+        assert report["winner"] == json.loads((clean / "grid-report.json").read_text())["winner"]
+        compared = build_compare_report([str(out)])["methods"][0]
+        assert compared["seeds"] == [0, 2] and compared["runs"] == 2
+
     def test_singular_exact_hessian_falls_back(self, tmp_path, capsys):
         # 4 samples in 6 features at mu = 0: the Hessian is singular
         data = tmp_path / "rank4.libsvm"
@@ -182,9 +215,12 @@ class TestGrid:
         assert code == 0
         report = json.loads((out / "grid-report.json").read_text())
         assert [row["status"] for row in report["rows"]] == ["ok"] * 4
-        trace = read_trace_csv(out / "adaptive_dual-cubic0.1-seed0" / "trace.csv")
-        # the rank-4 Hessian at the start point cannot be factored
-        assert trace[0].fallback and trace[0].skipped_pairs == 0
+        # a rank-4 Hessian is singular at every iterate, whether or not its
+        # Cholesky factorization goes through in floating point
+        for row in report["rows"]:
+            trace = read_trace_csv(out / row["run_id"] / "trace.csv")
+            assert len(trace) == 5
+            assert all(rec.fallback and rec.skipped_pairs == 0 for rec in trace)
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,9 @@ class TestRunSolver:
             def hvp(self, x, v):
                 return -v
 
+            def hvp_batch(self, x, V):
+                return -V
+
         cfg = SolverConfig(
             method="CEQN",
             approx=ApproxConfig(memory=3, h0_scale=0.1, kind="LSR1"),

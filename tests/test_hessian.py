@@ -13,7 +13,7 @@ from ceqn.hessian import (
 )
 from ceqn.problems import CountingOracle, QuadraticProblem
 
-from conftest import random_spd
+from conftest import random_logistic, random_spd
 
 
 def build(kind, pairs, scale):
@@ -291,6 +291,22 @@ class TestPairSources:
         oracle = CountingOracle(QuadraticProblem(np.eye(3), np.zeros(3)))
         pairs = sample_pairs(oracle, np.zeros(3), 10, rng)
         assert oracle.n_hvp == 10 and len(pairs) == 10
+
+    def test_sampling_matches_per_probe_loop(self, rng):
+        # the reference is the per-probe loop: push(d, hvp(x, d)) per row
+        prob = random_logistic(rng, n=60, d=12)
+        x = rng.normal(size=12)
+        for m in (1, 4, 10):
+            oracle = CountingOracle(prob)
+            batched = np.random.default_rng(m)
+            pairs = sample_pairs(oracle, x, m, batched)
+            loop = np.random.default_rng(m)
+            expected = buffer_of(12, [(d, prob.hvp(x, d)) for d in loop.standard_normal((m, 12))])
+            np.testing.assert_array_equal(pairs.rows, expected.rows)
+            np.testing.assert_array_equal(pairs.order(), expected.order())
+            assert oracle.n_hvp == m
+            # both leave the generator in the same state
+            assert batched.random() == loop.random()
 
     def test_sampled_y_is_exact_on_quadratic(self, rng):
         a = random_spd(rng, 4)

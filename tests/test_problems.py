@@ -9,6 +9,7 @@ from ceqn.problems import (
     DimensionMismatchError,
     LogisticProblem,
     QuadraticProblem,
+    _sigmoid,
     finite_diff_gradient,
     tridiagonal_quadratic,
 )
@@ -89,6 +90,55 @@ class TestLogisticHvp:
         original = LogisticProblem(design, np.ones(20), mu=0.0)
         x, v = rng.normal(size=5), rng.normal(size=5)
         np.testing.assert_allclose(flipped.hvp(x, v), original.hvp(x, v))
+
+
+def reference_hvp(prob, x, v):
+    """The single-vector Hessian action, margins recomputed for each v."""
+    sig = _sigmoid(prob._margins(x))
+    w = sig * (1.0 - sig) / prob.n
+    return prob.design.T @ (w * (prob.design @ v)) + prob.mu * v
+
+
+class TestHvpBatch:
+    def test_logistic_rows_equal_single_vector_loop(self, rng):
+        for trial in range(30):
+            n, d = int(rng.integers(1, 80)), int(rng.integers(1, 25))
+            prob = random_logistic(
+                rng, n=n, d=d, mu=float(rng.choice([0.0, 1e-4, 0.3])),
+                density=float(rng.uniform(0.05, 1.0)),
+            )
+            # huge margins saturate the sigmoid, so some weights are exactly 0
+            x = rng.normal(size=d) * (1e3 if trial % 3 == 0 else 1.0)
+            m = 1 if trial % 5 == 0 else int(rng.integers(2, 12))
+            V = rng.normal(size=(m, d))
+            if trial % 4 == 1:
+                V[-1] = 0.0
+            expected = np.array([reference_hvp(prob, x, v) for v in V])
+            np.testing.assert_array_equal(prob.hvp_batch(x, V), expected)
+            np.testing.assert_array_equal(prob.hvp(x, V[0]), expected[0])
+
+    def test_quadratic_rows_equal_single_vector_loop(self, rng):
+        for d in (1, 4, 17):
+            prob = QuadraticProblem(random_spd(rng, d), np.zeros(d))
+            x, V = rng.normal(size=d), rng.normal(size=(6, d))
+            expected = np.array([prob.matrix @ v for v in V])
+            # a stack of matrix-vector products: equal bit for bit
+            np.testing.assert_array_equal(prob.hvp_batch(x, V), expected)
+            np.testing.assert_array_equal(prob.hvp(x, V[0]), expected[0])
+
+    def test_counting_oracle_counts_each_direction(self, rng):
+        oracle = CountingOracle(random_logistic(rng))
+        oracle.hvp_batch(np.zeros(10), rng.normal(size=(7, 10)))
+        oracle.hvp_batch(np.zeros(10), rng.normal(size=(1, 10)))
+        assert (oracle.n_value, oracle.n_grad, oracle.n_hvp) == (0, 0, 8)
+
+    def test_wrong_shape_raises(self, rng):
+        for prob in (random_logistic(rng, d=10), tridiagonal_quadratic(10)):
+            for bad in (np.zeros(10), np.zeros((3, 9)), np.zeros((2, 3, 10))):
+                with pytest.raises(DimensionMismatchError):
+                    prob.hvp_batch(np.zeros(10), bad)
+            with pytest.raises(DimensionMismatchError):
+                prob.hvp_batch(np.zeros(9), np.zeros((3, 10)))
 
 
 class TestQuadratic:

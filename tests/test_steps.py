@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ceqn.hessian import DenseInverseOperator, ScaledIdentityOperator
 from ceqn.problems import CountingOracle, QuadraticProblem
@@ -85,6 +87,32 @@ class TestCeqnStepsize:
                 assert 0.0 < e2 <= e1 <= 1.0 / theta
                 bigger_l = CeqnParams(theta=theta, cubic=cubic + 1.0, stepsize_form=form)
                 assert ceqn_stepsize(bigger_l, g2) <= e2
+
+
+# ranges over which theta^2 + cubic * gdual stays finite
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+GDUAL = st.floats(min_value=0.0, max_value=1e100)
+
+
+class TestStepsizeProperties:
+    @given(
+        theta=POSITIVE,
+        cubic=st.floats(min_value=0.0, max_value=1e3),
+        form=st.sampled_from(["STANDARD", "EXACT_ROOT"]),
+        gduals=st.lists(GDUAL, min_size=2, max_size=2),
+    )
+    def test_ceqn_bounded_and_nonincreasing(self, theta, cubic, form, gduals):
+        params = CeqnParams(theta=theta, cubic=cubic, stepsize_form=form)
+        low, high = sorted(gduals)
+        eta_low, eta_high = ceqn_stepsize(params, low), ceqn_stepsize(params, high)
+        assert 0.0 < eta_high <= eta_low <= 1.0 / theta
+
+    @given(cubic=POSITIVE, alpha=POSITIVE, gduals=st.lists(GDUAL, min_size=2, max_size=2))
+    def test_adaptive_bounded_and_nonincreasing(self, cubic, alpha, gduals):
+        low, high = sorted(gduals)
+        eta_low = adaptive_stepsize(cubic, alpha, low)
+        eta_high = adaptive_stepsize(cubic, alpha, high)
+        assert 0.0 < eta_high <= eta_low <= 1.0 / (1.0 + alpha)
 
 
 class TestCeqnStep:
