@@ -195,9 +195,14 @@ def run_grid(
     grid: GridSpec,
     seeds: list[int],
     out_dir: Path,
+    loaded: tuple | None = None,
 ) -> dict:
-    """Run the grid x seeds cross product and assemble the report."""
-    problem, dataset_info = spec.load_problem()
+    """Run the grid x seeds cross product and assemble the report.
+
+    ``loaded`` is the result of ``spec.load_problem()`` when the caller has
+    already loaded it; otherwise the problem is loaded here.
+    """
+    problem, dataset_info = loaded or spec.load_problem()
     rows = []
     for value in grid.values:
         for seed in seeds:
@@ -237,10 +242,11 @@ def cmd_grid(args) -> int:
             values = GRID_PRESETS["a9a-grid"]
         grid = GridSpec(args.param, values)
         seeds = [int(s) for s in args.seeds.split(",") if s]
+        loaded = spec.load_problem()
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_grid(spec, grid, seeds, Path(args.out))
+    report = run_grid(spec, grid, seeds, Path(args.out), loaded)
     n_failed = sum(1 for r in report["rows"] if r["status"] != "ok")
     if report["winner"] is None:
         print("error: every grid configuration failed", file=sys.stderr)

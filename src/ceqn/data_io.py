@@ -36,6 +36,8 @@ from .steps import AdaptiveParams, CeqnParams
 
 DATA_DIR_ENV = "CEQN_DATA_DIR"
 
+_MAX_INDEX = np.iinfo(np.int64).max
+
 TRACE_HEADER = (
     "iter,wall_seconds,f,grad_norm_sq,grad_dual_norm,eta,alpha,"
     "inner_count,skipped_pairs,fallback,n_value,n_grad,n_hvp"
@@ -95,7 +97,7 @@ def parse_libsvm(
     source = getattr(stream, "name", "<memory>")
 
     raw_labels: list[float] = []
-    rows: list[int] = []
+    row_nnz: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     max_index = 0
@@ -114,7 +116,6 @@ def parse_libsvm(
             raise LibsvmParseError(
                 line_no, f"label {tokens[0]!r} is not one of -1, 0, 1, 2"
             )
-        row = len(raw_labels)
         raw_labels.append(label)
         prev_index = 0
         for token in tokens[1:]:
@@ -136,9 +137,14 @@ def parse_libsvm(
             if not math.isfinite(value):
                 raise LibsvmParseError(line_no, f"non-finite value in {token!r}")
             prev_index = index
-            rows.append(row)
             cols.append(index - 1)
             vals.append(value)
+        # indices increase along a line, so its last one is its largest
+        if prev_index > _MAX_INDEX:
+            raise LibsvmParseError(
+                line_no, f"feature index {prev_index} does not fit in int64"
+            )
+        row_nnz.append(len(tokens) - 1)
         max_index = max(max_index, prev_index)
     if not raw_labels:
         raise LibsvmParseError(0, "no samples found")
@@ -160,8 +166,13 @@ def parse_libsvm(
         raise LibsvmParseError(
             0, f"feature index {max_index} exceeds pinned dimension {dimension}"
         )
+    # lines are rows in file order and tokens are already sorted by column,
+    # so the CSR arrays are the token lists plus row offsets
+    indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
     design = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(raw_labels), d), dtype=np.float64
+        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int64), indptr),
+        shape=(len(raw_labels), d),
     )
     return Dataset(design=design, labels=labels, name=name, source=str(source))
 

@@ -1,6 +1,7 @@
 """Outer-loop orchestration: pairs, operator rebuilds, engine steps, telemetry.
 
-One driver owns one run: it wraps the (immutable, shareable) problem in a
+One driver owns one run: it wraps the problem, which concurrent runs may
+share (its data is fixed and its margin cache is swapped whole), in a
 counting oracle, rebuilds the inverse-Hessian operator every iteration from
 sampled or historical curvature pairs, delegates the step to the configured
 engine, and records one trace row per executed iteration. Runs are

@@ -4,8 +4,11 @@ Two concrete problems are provided: l2-regularized logistic regression over a
 sparse design matrix, and a dense symmetric-positive-definite quadratic used
 as an exactly solvable test bed. Solvers talk to problems through the
 ``ProblemOracle`` protocol; per-run evaluation counting lives in
-``CountingOracle`` so that immutable problem data can be shared read-only
-across concurrent runs.
+``CountingOracle``, so one problem can be shared by concurrent runs. The
+problem data never changes after construction. ``LogisticProblem`` keeps one
+cache slot, the margins of the last point it evaluated, so ``value``,
+``gradient`` and ``hvp_batch`` at the same x compute them once; the slot is
+swapped whole and its arrays are never written, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -37,23 +40,13 @@ def _check_batch(v: np.ndarray, d: int) -> None:
 
 def _log1p_exp_neg(t: np.ndarray) -> np.ndarray:
     """log(1 + exp(-t)) evaluated without overflow for either sign of t."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = np.log1p(np.exp(-t[pos]))
-    neg = ~pos
-    out[neg] = -t[neg] + np.log1p(np.exp(t[neg]))
-    return out
+    return np.log1p(np.exp(-np.abs(t))) + np.maximum(-t, 0.0)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     """Logistic sigmoid evaluated without overflow for either sign of t."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    neg = ~pos
-    et = np.exp(t[neg])
-    out[neg] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 @runtime_checkable
@@ -83,8 +76,8 @@ class LogisticProblem:
 
     with labels b_i in {-1, +1} and regularization strength mu >= 0. The
     design matrix is CSR; rows are the feature vectors a_i. Margins are fed
-    through stable log1p/sigmoid branches so large-magnitude scores do not
-    overflow.
+    through log1p/sigmoid forms that exponentiate only -|t|, so
+    large-magnitude scores do not overflow.
     """
 
     def __init__(self, design: sp.csr_matrix, labels, mu: float):
@@ -105,12 +98,28 @@ class LogisticProblem:
         self.mu = float(mu)
         self.n = design.shape[0]
         self.dimension = design.shape[1]
+        # (private copy of x, read-only margins) of the last point evaluated
+        self._last = None
 
     def _margins(self, x: Vector) -> np.ndarray:
+        """labels * (design @ x), reused while x equals the last point.
+
+        The slot is read once and replaced by one store, so a problem shared
+        by threads never pairs one point with another point's margins.
+        Equality is element by element: a NaN never matches, so a NaN-bearing
+        x always recomputes; +0 and -0 match, which can flip only the sign of
+        a zero margin, and no output depends on that sign.
+        """
+        last = self._last
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
         # overflow to inf is the designed behavior for diverging iterates;
         # drivers detect the non-finite result and abort
         with np.errstate(over="ignore"):
-            return self.labels * (self.design @ x)
+            t = self.labels * (self.design @ x)
+        t.flags.writeable = False
+        self._last = (x.copy(), t)
+        return t
 
     def value(self, x: Vector) -> float:
         _check_dim(x, self.dimension)
@@ -196,9 +205,11 @@ class QuadraticProblem:
 class CountingOracle:
     """Wraps a problem and counts evaluations.
 
-    One instance per solver run; the wrapped problem stays immutable and
-    shareable. Each oracle call bumps exactly one counter; ``n_hvp`` counts
-    Hessian-vector products, so a batch of m directions adds m.
+    One instance per solver run; the wrapped problem can be shared, since
+    its data never changes and its margin cache is swapped whole. Each
+    oracle call bumps exactly one counter and reaches the problem, cache hit
+    or not; ``n_hvp`` counts Hessian-vector products, so a batch of m
+    directions adds m.
     """
 
     def __init__(self, problem: ProblemOracle):

@@ -3,8 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 
 from ceqn.problems import LogisticProblem
+
+# derandomized: every run of the suite draws the same property-test examples
+settings.register_profile("ceqn", derandomize=True, deadline=None)
+settings.load_profile("ceqn")
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_LIBSVM = DATA_DIR / "synthetic.libsvm"

@@ -12,7 +12,7 @@ from ceqn.cli import (
     render_compare_text,
     select_winner,
 )
-from ceqn.data_io import read_trace_csv
+from ceqn.data_io import RunSpec, read_trace_csv
 from ceqn.driver import run_solver
 
 from conftest import FIXTURE_LIBSVM
@@ -221,6 +221,39 @@ class TestGrid:
             trace = read_trace_csv(out / row["run_id"] / "trace.csv")
             assert len(trace) == 5
             assert all(rec.fallback and rec.skipped_pairs == 0 for rec in trace)
+
+    def test_bad_dataset_is_usage_error_like_run(self, tmp_path, capsys):
+        malformed = tmp_path / "bad.libsvm"
+        malformed.write_text("+1 1:1.0\nfoo 1:1.0\n")
+        for dataset, message in (
+            (malformed, "error: line 2: non-numeric label 'foo'"),
+            (tmp_path / "missing.libsvm", "No such file or directory"),
+        ):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"method": "FIXED", "dataset": str(dataset), "cubic": 1.0}))
+            errors = []
+            for command in (["run"], ["grid", "--values", "1", "--seeds", "0"]):
+                code = main(command + ["--config", str(config), "--out", str(tmp_path / "o")])
+                assert code == 2
+                errors.append(capsys.readouterr().err)
+            assert errors[0] == errors[1] and message in errors[0]
+            assert not (tmp_path / "o").exists()
+
+    def test_grid_loads_its_dataset_once(self, fixed_config, tmp_path, capsys, monkeypatch):
+        calls = []
+        load = RunSpec.load_problem
+
+        def counting_load(spec):
+            calls.append(spec)
+            return load(spec)
+
+        monkeypatch.setattr(RunSpec, "load_problem", counting_load)
+        code = main([
+            "grid", "--config", str(fixed_config), "--out", str(tmp_path / "g"),
+            "--values", "10,20", "--seeds", "0,1",
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):

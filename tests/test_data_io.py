@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ceqn.data_io import (
     ConfigError,
@@ -85,6 +86,54 @@ class TestParseLibsvm:
     def test_fixture_shape_matches_committed_triple(self):
         ds = parse_libsvm(FIXTURE_LIBSVM)
         assert (ds.n, ds.d, ds.nnz) == (FIXTURE_N, FIXTURE_D, FIXTURE_NNZ)
+
+    def test_index_beyond_int64_reports_line(self):
+        with pytest.raises(LibsvmParseError, match="int64") as excinfo:
+            parse_libsvm(io.StringIO("+1 1:1.0\n+1 2:1 99999999999999999999:1\n"))
+        assert excinfo.value.line_no == 2
+
+    def test_csr_arrays_equal_coo_construction(self):
+        rng = np.random.default_rng(7)
+        lines = ["# generated", ""]
+        for _ in range(40):
+            cols = np.sort(rng.choice(30, size=int(rng.integers(0, 8)), replace=False))
+            # explicit zeros are stored entries, as in the file
+            vals = np.where(rng.random(cols.size) < 0.2, 0.0, rng.normal(size=cols.size))
+            tokens = [f"{c + 1}:{float(v)!r}" for c, v in zip(cols, vals)]
+            lines.append(" ".join([str(int(rng.choice([-1, 1])))] + tokens))
+        text = "\n".join(lines) + "\n"
+        cases = [
+            (FIXTURE_LIBSVM.read_text(), None),
+            (text, None),
+            (text, 40),
+            ("+1 1:0 3:0.0\n-1\n+1 2:1\n", None),
+        ]
+        for text, dimension in cases:
+            got = parse_libsvm(io.StringIO(text), dimension=dimension).design
+            expected = coo_reference(text, dimension)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert got.shape == expected.shape
+
+
+def coo_reference(text, dimension):
+    """CSR built from (row, col, value) triplets through COO, for clean input."""
+    rows, cols, vals = [], [], []
+    n = max_index = 0
+    for line in text.splitlines():
+        tokens = line.split("#")[0].split()
+        if not tokens:
+            continue
+        for token in tokens[1:]:
+            index, value = token.split(":")
+            rows.append(n)
+            cols.append(int(index) - 1)
+            vals.append(float(value))
+            max_index = max(max_index, int(index))
+        n += 1
+    shape = (n, dimension or max_index)
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64)
 
 
 def small_run_result(n_records=3):

@@ -1,14 +1,21 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ceqn.problems import (
     CountingOracle,
     DimensionMismatchError,
     LogisticProblem,
     QuadraticProblem,
+    _log1p_exp_neg,
     _sigmoid,
     finite_diff_gradient,
     tridiagonal_quadratic,
@@ -92,9 +99,70 @@ class TestLogisticHvp:
         np.testing.assert_allclose(flipped.hvp(x, v), original.hvp(x, v))
 
 
+def masked_log1p_exp_neg(t):
+    """Reference log(1 + exp(-t)): each sign on its own masked subarray."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = np.log1p(np.exp(-t[pos]))
+    neg = ~pos
+    out[neg] = -t[neg] + np.log1p(np.exp(t[neg]))
+    return out
+
+
+def masked_sigmoid(t):
+    """Reference sigmoid: each sign on its own masked subarray."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    neg = ~pos
+    et = np.exp(t[neg])
+    out[neg] = et / (1.0 + et)
+    return out
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float arrays, taking every NaN as one value.
+
+    Only a NaN's sign and payload may differ: the masked reference itself
+    gives a NaN input either sign, depending on its array's length and
+    position, and no result of the package depends on that bit.
+    """
+    a, b = (np.where(np.isnan(u), np.nan, u) for u in (a, b))
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SPECIAL_MARGINS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    36.0, -37.0, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0, 1e300, -1e300,
+]
+
+
+class TestStableKernels:
+    """The mask-free kernels against the masked reference, bit for bit."""
+
+    @settings(max_examples=400)
+    @given(hnp.arrays(
+        np.float64,
+        st.integers(1, 67),
+        elements=st.one_of(
+            st.sampled_from(SPECIAL_MARGINS),
+            st.floats(-60.0, 60.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    ))
+    @example(np.array(SPECIAL_MARGINS))
+    @example(np.array(SPECIAL_MARGINS[::-1] * 3 + [1.0]))
+    def test_equal_to_masked_reference(self, t):
+        assert same_bits(_log1p_exp_neg(t), masked_log1p_exp_neg(t))
+        assert same_bits(_sigmoid(t), masked_sigmoid(t))
+        assert same_bits(_sigmoid(-t), masked_sigmoid(-t))
+
+
 def reference_hvp(prob, x, v):
     """The single-vector Hessian action, margins recomputed for each v."""
-    sig = _sigmoid(prob._margins(x))
+    with np.errstate(over="ignore"):
+        t = prob.labels * (prob.design @ x)
+    sig = masked_sigmoid(t)
     w = sig * (1.0 - sig) / prob.n
     return prob.design.T @ (w * (prob.design @ v)) + prob.mu * v
 
@@ -139,6 +207,107 @@ class TestHvpBatch:
                     prob.hvp_batch(np.zeros(10), bad)
             with pytest.raises(DimensionMismatchError):
                 prob.hvp_batch(np.zeros(9), np.zeros((3, 10)))
+
+
+def oracle_bytes(prob, x, V):
+    """value, gradient and hvp_batch at x, in that order, as bytes."""
+    return (
+        np.float64(prob.value(x)).tobytes(),
+        prob.gradient(x).tobytes(),
+        prob.hvp_batch(x, V).tobytes(),
+    )
+
+
+def fresh_copy(prob):
+    return LogisticProblem(prob.design, prob.labels, prob.mu)
+
+
+class TestMarginCache:
+    """The one-slot margin cache never changes a result."""
+
+    def test_changing_x_in_place_gives_fresh_results(self, rng):
+        prob = random_logistic(rng)
+        x, V = rng.normal(size=10), rng.normal(size=(3, 10))
+        prob.gradient(x)
+        x[3] += 0.5
+        assert oracle_bytes(prob, x, V) == oracle_bytes(fresh_copy(prob), x, V)
+        x[:] = 0.0
+        assert oracle_bytes(prob, x, V) == oracle_bytes(fresh_copy(prob), x, V)
+
+    def test_alternating_points_match_a_fresh_problem(self, rng):
+        prob = random_logistic(rng, n=60, d=10, mu=0.3)
+        V = rng.normal(size=(4, 10))
+        # +0 and -0 share the cached margins: results must not tell them apart
+        pairs = [(rng.normal(size=10), rng.normal(size=10)), (np.zeros(10), -np.zeros(10))]
+        calls = [
+            lambda p, x: np.float64(p.value(x)).tobytes(),
+            lambda p, x: p.gradient(x).tobytes(),
+            lambda p, x: p.hvp_batch(x, V).tobytes(),
+        ]
+        for a, b in pairs:
+            # every call follows every other call at the same and the other point
+            order = [a, b, a, b, a, b, b, b, a, a, a, b, b, a, a, b, b, a]
+            for k, x in enumerate(order):
+                call = calls[k % 3]
+                assert call(prob, x) == call(fresh_copy(prob), x)
+
+    def test_writing_into_results_does_not_leak(self, rng):
+        prob = random_logistic(rng)
+        x, V = rng.normal(size=10), rng.normal(size=(3, 10))
+        expected = oracle_bytes(fresh_copy(prob), x, V)
+        prob.gradient(x)[:] = 7.0
+        prob.hvp_batch(x, V)[:] = 7.0
+        with pytest.raises(ValueError):
+            prob._margins(x)[0] = 7.0
+        assert oracle_bytes(prob, x, V) == expected
+
+    def test_equal_point_hits_and_nan_point_misses(self, rng):
+        prob = random_logistic(rng)
+        x, V = rng.normal(size=10), rng.normal(size=(3, 10))
+        prob.gradient(x)
+        slot = prob._last
+        prob.value(x.copy())
+        prob.hvp_batch(x.copy(), V)
+        assert prob._last is slot
+        x[0] = math.nan
+        prob.value(x)
+        nan_slot = prob._last
+        assert nan_slot is not slot
+        assert math.isnan(prob.value(x.copy()))
+        assert prob._last is not nan_slot
+
+    def test_threads_sharing_one_problem_match_serial_runs(self, rng):
+        prob = random_logistic(rng, n=200, d=20)
+        points = [rng.normal(size=20) for _ in range(5)]
+        V = rng.normal(size=(3, 20))
+        expected = [oracle_bytes(fresh_copy(prob), x, V) for x in points]
+        mismatches, done = [], []
+
+        def worker(offset):
+            calls = 0
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                k = (offset + calls) % len(points)
+                if oracle_bytes(prob, points[k], V) != expected[k]:
+                    mismatches.append(k)
+                calls += 1
+            done.append(calls)
+
+        # more threads than cores and a short switch interval, so threads
+        # swap the slot between another thread's read and its use
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 6 and min(done) > 0
+        assert mismatches == []
 
 
 class TestQuadratic:
