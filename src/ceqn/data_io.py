@@ -144,6 +144,10 @@ def parse_libsvm(
             raise LibsvmParseError(
                 line_no, f"feature index {prev_index} does not fit in int64"
             )
+        if dimension is not None and prev_index > dimension:
+            raise LibsvmParseError(
+                line_no, f"feature index {prev_index} exceeds pinned dimension {dimension}"
+            )
         row_nnz.append(len(tokens) - 1)
         max_index = max(max_index, prev_index)
     if not raw_labels:
@@ -162,10 +166,6 @@ def parse_libsvm(
         )
 
     d = max_index if dimension is None else dimension
-    if dimension is not None and max_index > dimension:
-        raise LibsvmParseError(
-            0, f"feature index {max_index} exceeds pinned dimension {dimension}"
-        )
     # lines are rows in file order and tokens are already sorted by column,
     # so the CSR arrays are the token lists plus row offsets
     indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)

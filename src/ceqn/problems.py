@@ -9,10 +9,22 @@ problem data never changes after construction. ``LogisticProblem`` keeps one
 cache slot, the margins of the last point it evaluated, so ``value``,
 ``gradient`` and ``hvp_batch`` at the same x compute them once; the slot is
 swapped whole and its arrays are never written, so sharing stays safe.
+
+``LogisticProblem`` splits its sparse products into row blocks of about equal
+stored entries and runs them on threads, since scipy's sparse kernels release
+the interpreter lock. It takes one block per usable CPU (``sched_getaffinity``,
+so ``taskset`` pins it to one), but never fewer than ``_NNZ_PER_THREAD`` stored
+entries per block; a smaller design keeps one block and starts no thread. Each
+output element is summed in the same order as by one serial product, so
+results are bitwise identical to the serial kernels and deterministic,
+whatever the block count. With two or more blocks the problem also keeps a
+CSR copy of the transposed design, about 12 bytes per stored entry.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -36,6 +48,44 @@ def _check_dim(x: np.ndarray, d: int, what: str = "x") -> None:
 def _check_batch(v: np.ndarray, d: int) -> None:
     if v.ndim != 2 or v.shape[1] != d:
         raise DimensionMismatchError(f"V has shape {v.shape}, expected (m, {d})")
+
+
+# A block of fewer stored entries costs more in thread hand-off than its share
+# of the product saves; set from a sweep of solver iteration time over 1e5 to
+# 4e6 nonzeros (ROADMAP, aim 1)
+_NNZ_PER_THREAD = 2**18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_count(nnz: int) -> int:
+    """Row blocks for a design with nnz stored entries: one per usable CPU,
+    each holding at least ``_NNZ_PER_THREAD`` entries."""
+    return max(1, min(_usable_cpus(), nnz // _NNZ_PER_THREAD))
+
+
+def _split(offsets: np.ndarray, k: int) -> list[slice]:
+    """k consecutive row slices holding about equal entries; offsets is an indptr."""
+    total = int(offsets[-1])
+    cuts = np.searchsorted(offsets, [total * i // k for i in range(1, k)]).tolist()
+    edges = [0, *cuts, len(offsets) - 1]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _row_view(matrix: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """Rows of a CSR matrix as a CSR matrix sharing its data and indices."""
+    start, stop = matrix.indptr[rows.start], matrix.indptr[rows.stop]
+    view = sp.csr_matrix((rows.stop - rows.start, matrix.shape[1]))
+    # set after construction: the constructor copies a slice under half its base
+    view.data = matrix.data[start:stop]
+    view.indices = matrix.indices[start:stop]
+    view.indptr = matrix.indptr[rows.start : rows.stop + 1] - start
+    return view
 
 
 def _log1p_exp_neg(t: np.ndarray) -> np.ndarray:
@@ -78,6 +128,11 @@ class LogisticProblem:
     design matrix is CSR; rows are the feature vectors a_i. Margins are fed
     through log1p/sigmoid forms that exponentiate only -|t|, so
     large-magnitude scores do not overflow.
+
+    Per-sample passes run over row blocks of the design; per-feature passes
+    over row blocks of its transpose, a CSR copy, or with a single block the
+    CSC view ``design.T``. The calling thread and a private pool of ``k - 1``
+    threads, made on first use, share out the blocks.
     """
 
     def __init__(self, design: sp.csr_matrix, labels, mu: float):
@@ -98,8 +153,55 @@ class LogisticProblem:
         self.mu = float(mu)
         self.n = design.shape[0]
         self.dimension = design.shape[1]
+        k = _block_count(design.nnz)
+        # (slice of the output, matrix computing it) per block
+        self._rows = [(s, _row_view(design, s)) for s in _split(design.indptr, k)]
+        if k == 1:
+            self._cols = [(slice(0, self.dimension), design.T)]
+        else:
+            # the transposed copy's rows hold each feature's entries in sample
+            # order, the order in which the CSC product adds them up
+            design_t = design.T.tocsr()
+            self._cols = [(s, _row_view(design_t, s)) for s in _split(design_t.indptr, k)]
+        # (process id, executor); a forked child inherits the executor but
+        # none of its threads, so it makes its own
+        self._pool = (None, None)
         # (private copy of x, read-only margins) of the last point evaluated
         self._last = None
+
+    def _run(self, fn, blocks) -> None:
+        """fn(out, matrix) for every block, in this thread and the pool's.
+
+        Each thread takes the next block not yet taken. A pool thread slow
+        to start (its CPU busy elsewhere) does not hold up the call: this
+        thread takes the remaining blocks and cancels the unstarted task.
+        """
+        if len(blocks) == 1:
+            fn(*blocks[0])
+            return
+        pid, pool = self._pool
+        if pid != os.getpid():
+            # threads racing here may each make a pool; the unused one is
+            # collected with its idle threads
+            pool = ThreadPoolExecutor(len(self._rows) - 1, thread_name_prefix="ceqn-kernel")
+            self._pool = (os.getpid(), pool)
+        pending = blocks[::-1]
+
+        def drain():
+            while True:
+                try:
+                    block = pending.pop()  # atomic: no block runs twice
+                except IndexError:
+                    return
+                fn(*block)
+
+        futures = [pool.submit(drain) for _ in blocks[1:]]
+        try:
+            drain()
+        finally:
+            for future in futures:
+                if not future.cancel():
+                    future.result()
 
     def _margins(self, x: Vector) -> np.ndarray:
         """labels * (design @ x), reused while x equals the last point.
@@ -113,10 +215,15 @@ class LogisticProblem:
         last = self._last
         if last is not None and np.array_equal(last[0], x):
             return last[1]
-        # overflow to inf is the designed behavior for diverging iterates;
-        # drivers detect the non-finite result and abort
-        with np.errstate(over="ignore"):
-            t = self.labels * (self.design @ x)
+        t = np.empty(self.n)
+
+        def rows(out, block):
+            # overflow to inf is the designed behavior for diverging
+            # iterates; drivers detect the non-finite result and abort
+            with np.errstate(over="ignore"):
+                np.multiply(self.labels[out], block @ x, out=t[out])
+
+        self._run(rows, self._rows)
         t.flags.writeable = False
         self._last = (x.copy(), t)
         return t
@@ -124,16 +231,31 @@ class LogisticProblem:
     def value(self, x: Vector) -> float:
         _check_dim(x, self.dimension)
         t = self._margins(x)
+        losses = np.empty(self.n)
+
+        def rows(out, block):
+            losses[out] = _log1p_exp_neg(t[out])
+
+        self._run(rows, self._rows)
+        # one sum over the whole array, so its order does not depend on blocks
         with np.errstate(over="ignore"):
-            return float(
-                np.sum(_log1p_exp_neg(t)) / self.n + 0.5 * self.mu * float(x @ x)
-            )
+            return float(np.sum(losses) / self.n + 0.5 * self.mu * float(x @ x))
 
     def gradient(self, x: Vector) -> Vector:
         _check_dim(x, self.dimension)
         t = self._margins(x)
-        coeff = -self.labels * _sigmoid(-t) / self.n
-        return self.design.T @ coeff + self.mu * x
+        coeff = np.empty(self.n)
+        g = np.empty(self.dimension)
+
+        def rows(out, block):
+            np.divide(-self.labels[out] * _sigmoid(-t[out]), self.n, out=coeff[out])
+
+        def cols(out, block_t):
+            np.add(block_t @ coeff, self.mu * x[out], out=g[out])
+
+        self._run(rows, self._rows)
+        self._run(cols, self._cols)
+        return g
 
     def hvp(self, x: Vector, v: Vector) -> Vector:
         _check_dim(v, self.dimension, "v")
@@ -142,15 +264,30 @@ class LogisticProblem:
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         """Rows H(x) v_i: margins and weights once, then two sparse mat-mats.
 
-        ``design.T`` is the CSC view of the CSR design, not a copy; with a
-        handful of directions it is faster than a cached CSR transpose.
+        The product with ``design.T`` uses the CSC view, not a copy, split
+        over the directions; with a handful of directions it is faster than
+        the transposed CSR copy.
         """
         _check_dim(x, self.dimension)
         _check_batch(V, self.dimension)
         t = self._margins(x)
-        sig = _sigmoid(t)
-        w = sig * (1.0 - sig) / self.n
-        return (self.design.T @ (w[:, None] * (self.design @ V.T))).T + self.mu * V
+        m = V.shape[0]
+        vt = np.ascontiguousarray(V.T)
+        weighted = np.empty((self.n, m))
+        out = np.empty((m, self.dimension))
+
+        def rows(part, block):
+            sig = _sigmoid(t[part])
+            w = sig * (1.0 - sig) / self.n
+            np.multiply(w[:, None], block @ vt, out=weighted[part])
+
+        def probes(part, design_t):
+            np.add((design_t @ weighted[:, part]).T, self.mu * V[part], out=out[part])
+
+        self._run(rows, self._rows)
+        cuts = _split(np.arange(m + 1), min(m, len(self._rows)))
+        self._run(probes, [(part, self.design.T) for part in cuts])
+        return out
 
 
 class QuadraticProblem:

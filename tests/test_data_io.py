@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ceqn.data_io import (
     ConfigError,
@@ -82,6 +85,22 @@ class TestParseLibsvm:
         assert ds.d == 10
         with pytest.raises(LibsvmParseError, match="exceeds pinned"):
             parse_libsvm(io.StringIO("+1 11:1.0\n"), dimension=10)
+
+    def test_index_beyond_pinned_dimension_reports_its_line(self):
+        lines = ["+1 1:1\n", "+1 11:1\n", "-1 2:1\n"]
+        read = []
+
+        def stream():
+            for line in lines:
+                read.append(line)
+                yield line
+
+        with pytest.raises(LibsvmParseError, match="exceeds pinned") as excinfo:
+            parse_libsvm(stream(), dimension=10)
+        assert excinfo.value.line_no == 2
+        assert str(excinfo.value).startswith("line 2: feature index 11 exceeds")
+        # reading stops at the offending line
+        assert read == lines[:2]
 
     def test_fixture_shape_matches_committed_triple(self):
         ds = parse_libsvm(FIXTURE_LIBSVM)
@@ -203,6 +222,71 @@ class TestTraceCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(io.StringIO("iter,f\n"))
+
+
+# finite floats, with both zeros and subnormals drawn often
+EXACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def float_bits(records):
+    """Every field of every record, floats as their bytes."""
+    return [
+        tuple(
+            np.float64(v).tobytes() if isinstance(v, float) else (type(v), v)
+            for v in dataclasses.astuple(rec)
+        )
+        for rec in records
+    ]
+
+
+class TestRoundTripProperties:
+    @given(st.lists(
+        st.builds(
+            TraceRecord,
+            iter=st.integers(0, 10**6),
+            wall_seconds=EXACT_FLOATS,
+            f=EXACT_FLOATS,
+            grad_norm_sq=EXACT_FLOATS,
+            grad_dual_norm=EXACT_FLOATS,
+            eta=EXACT_FLOATS,
+            alpha=EXACT_FLOATS,
+            inner_count=st.integers(0, 100),
+            skipped_pairs=st.integers(0, 100),
+            fallback=st.booleans(),
+            n_value=st.integers(0, 10**9),
+            n_grad=st.integers(0, 10**9),
+            n_hvp=st.integers(0, 10**9),
+        ),
+        max_size=5,
+    ))
+    def test_trace_csv_round_trip_keeps_every_bit(self, records):
+        result = dataclasses.replace(small_run_result(0), trace=records)
+        sink = io.StringIO()
+        write_trace_csv(result, sink)
+        assert float_bits(read_trace_csv(io.StringIO(sink.getvalue()))) == float_bits(records)
+
+    @given(st.data())
+    def test_libsvm_written_with_repr_parses_back(self, data):
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 15))
+        labels = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        lines, vals, cols, indptr = [], [], [], [0]
+        for label in labels:
+            row = data.draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+            row.sort()
+            row_vals = [data.draw(EXACT_FLOATS) for _ in row]
+            lines.append(f"{label:+.0f} " + " ".join(f"{j + 1}:{v!r}" for j, v in zip(row, row_vals)))
+            cols += row
+            vals += row_vals
+            indptr.append(len(cols))
+        ds = parse_libsvm(io.StringIO("\n".join(lines) + "\n"), dimension=d)
+        assert ds.design.shape == (n, d)
+        assert ds.design.data.tobytes() == np.array(vals, dtype=np.float64).tobytes()
+        assert ds.design.indices.tolist() == cols
+        assert ds.design.indptr.tolist() == indptr
+        assert ds.labels.tolist() == labels
 
 
 class TestSummaryJson:

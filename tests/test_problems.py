@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ceqn import problems
 from ceqn.problems import (
     CountingOracle,
     DimensionMismatchError,
@@ -278,36 +280,162 @@ class TestMarginCache:
 
     def test_threads_sharing_one_problem_match_serial_runs(self, rng):
         prob = random_logistic(rng, n=200, d=20)
-        points = [rng.normal(size=20) for _ in range(5)]
-        V = rng.normal(size=(3, 20))
-        expected = [oracle_bytes(fresh_copy(prob), x, V) for x in points]
-        mismatches, done = [], []
+        assert_threads_match_serial(prob, fresh_copy(prob), rng)
 
-        def worker(offset):
-            calls = 0
-            deadline = time.monotonic() + 1.0
-            while time.monotonic() < deadline:
-                k = (offset + calls) % len(points)
-                if oracle_bytes(prob, points[k], V) != expected[k]:
-                    mismatches.append(k)
-                calls += 1
-            done.append(calls)
+    def test_threads_sharing_a_blocked_problem_match_serial_runs(self, rng):
+        serial = random_logistic(rng, n=200, d=20)
+        assert_threads_match_serial(blocked(serial, 3), serial, rng)
 
-        # more threads than cores and a short switch interval, so threads
-        # swap the slot between another thread's read and its use
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+def assert_threads_match_serial(prob, serial, rng):
+    """6 threads calling one shared problem get the results of ``serial``."""
+    points = [rng.normal(size=prob.dimension) for _ in range(5)]
+    V = rng.normal(size=(3, prob.dimension))
+    expected = [oracle_bytes(fresh_copy(serial), x, V) for x in points]
+    mismatches, done = [], []
+
+    def worker(offset):
+        calls = 0
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            k = (offset + calls) % len(points)
+            if oracle_bytes(prob, points[k], V) != expected[k]:
+                mismatches.append(k)
+            calls += 1
+        done.append(calls)
+
+    # more threads than cores and a short switch interval, so threads
+    # swap the slot between another thread's read and its use
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == 6 and min(done) > 0
+    assert mismatches == []
+
+
+def blocked(prob, k):
+    """A copy of prob whose kernels run on k row blocks, whatever its size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "_block_count", lambda nnz: k)
+        return fresh_copy(prob)
+
+
+def serial_oracle(prob, x, V):
+    """value, gradient and hvp_batch at x by the one-block formulas, as bytes."""
+    with np.errstate(over="ignore"):
+        t = prob.labels * (prob.design @ x)
+        value = np.sum(_log1p_exp_neg(t)) / prob.n + 0.5 * prob.mu * float(x @ x)
+    gradient = prob.design.T @ (-prob.labels * _sigmoid(-t) / prob.n) + prob.mu * x
+    sig = _sigmoid(t)
+    w = sig * (1.0 - sig) / prob.n
+    hvps = (prob.design.T @ (w[:, None] * (prob.design @ V.T))).T + prob.mu * V
+    return np.float64(value), gradient, hvps
+
+
+@st.composite
+def messy_problems(draw):
+    """Sparse designs with empty rows, all-zero columns, and entries stored
+    out of column order or more than once, as the constructor receives them."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    entry = st.tuples(st.integers(0, d - 1), st.floats(-5.0, 5.0))
+    rows = draw(st.lists(st.lists(entry, max_size=6), min_size=n, max_size=n))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    pairs = [pair for row in rows for pair in row]
+    indices = np.array([j for j, _ in pairs], dtype=np.int32)
+    data = np.array([v for _, v in pairs], dtype=np.float64)
+    design = sp.csr_matrix((data, indices, indptr), shape=(n, d))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return LogisticProblem(design, labels, draw(st.sampled_from([0.0, 1e-4, 0.3])))
+
+
+class TestBlockedKernels:
+    """Kernels on k row blocks against the one-block formulas, bit for bit."""
+
+    def test_block_count_follows_entries_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: 4)
+        per = problems._NNZ_PER_THREAD
+        counts = [problems._block_count(nnz) for nnz in (0, per - 1, 2 * per, 3 * per + 1, 99 * per)]
+        assert counts == [1, 1, 2, 3, 4]
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
+        assert problems._block_count(99 * per) == 1
+
+    def test_blocks_are_views_covering_every_row(self, rng):
+        serial = random_logistic(rng, n=40, d=9)
+        prob = blocked(serial, 3)
+        design_t = prob._cols[0][1]
+        for (rows, block), (cols, block_t) in zip(prob._rows, prob._cols):
+            assert np.shares_memory(block.data, prob.design.data)
+            assert np.shares_memory(block.indices, prob.design.indices)
+            # every transposed block is a view of one transposed copy
+            assert np.shares_memory(block_t.data, design_t.data.base)
+            np.testing.assert_array_equal(block.toarray(), prob.design[rows].toarray())
+            np.testing.assert_array_equal(block_t.toarray(), prob.design.T[cols].toarray())
+        for blocks, size in ((prob._rows, prob.n), (prob._cols, prob.dimension)):
+            bounds = [(s.start, s.stop) for s, _ in blocks]
+            assert bounds[0][0] == 0 and bounds[-1][1] == size
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    def test_one_block_uses_the_csc_view_and_no_pool(self, rng):
+        prob = random_logistic(rng)
+        assert len(prob._rows) == len(prob._cols) == 1
+        assert prob._cols[0][1].format == "csc"
+        assert np.shares_memory(prob._cols[0][1].data, prob.design.data)
+        x, V = rng.normal(size=10), rng.normal(size=(4, 10))
+        oracle_bytes(prob, x, V)
+        assert prob._pool == (None, None)
+
+    @settings(max_examples=150)
+    @given(
+        messy_problems(),
+        st.sampled_from([2, 3]),
+        st.sampled_from([1, 5]),
+        st.sampled_from([1.0, 1e3]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_equal_to_serial_formulas(self, serial, k, m, scale, with_nan, random):
+        rng = np.random.default_rng(random.getrandbits(32))
+        d = serial.dimension
+        x = rng.normal(size=d) * scale
+        if with_nan:
+            x[random.randrange(d)] = math.nan
+        V = rng.normal(size=(m, d))
+        expected = serial_oracle(serial, x, V)
+        for prob in (serial, blocked(serial, k)):
+            got = np.float64(prob.value(x)), prob.gradient(x), prob.hvp_batch(x, V)
+            for a, b in zip(got, expected):
+                assert same_bits(a, b)
+            assert same_bits(prob.hvp(x, V[0]), expected[2][0])
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+    )
+    def test_forked_child_computes_the_parents_gradient(self, rng):
+        serial = random_logistic(rng, n=200, d=20)
+        prob = blocked(serial, 2)
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        prob.gradient(x)  # the parent's pool now has its thread
+        assert prob._pool[1] is not None
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=lambda: queue.put(prob.gradient(y).tobytes()))
+        child.start()
         try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
+            got = queue.get(timeout=30.0)
         finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(done) == 6 and min(done) > 0
-        assert mismatches == []
+            child.join(timeout=30.0)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert got == serial.gradient(y).tobytes() == prob.gradient(y).tobytes()
 
 
 class TestQuadratic:
