@@ -12,18 +12,22 @@ swapped whole and its arrays are never written, so sharing stays safe.
 
 ``LogisticProblem`` splits its sparse products into row blocks of about equal
 stored entries and runs them on threads, since scipy's sparse kernels release
-the interpreter lock. It takes one block per usable CPU (``sched_getaffinity``,
-so ``taskset`` pins it to one), but never fewer than ``_NNZ_PER_THREAD`` stored
-entries per block; a smaller design keeps one block and starts no thread. Each
-output element is summed in the same order as by one serial product, so
+the interpreter lock. It takes one block per usable CPU, but never fewer than
+``_NNZ_PER_THREAD`` stored entries per block; a smaller design keeps one block
+and starts no thread. Usable CPUs are those of ``sched_getaffinity`` (so
+``taskset`` pins it to one), capped by the CPU time a cgroup quota allows.
+Each output element is summed in the same order as by one serial product, so
 results are bitwise identical to the serial kernels and deterministic,
 whatever the block count. With two or more blocks the problem also keeps a
-CSR copy of the transposed design, about 12 bytes per stored entry.
+CSR copy of the transposed design, about 12 bytes per stored entry. All
+problems share one process-wide pool of kernel threads.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
@@ -56,17 +60,95 @@ def _check_batch(v: np.ndarray, d: int) -> None:
 _NNZ_PER_THREAD = 2**18
 
 
+# cgroup v2 and v1 keep their CPU quota files under this root
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_CGROUP_MEMBERSHIP = "/proc/self/cgroup"
+
+
+def _read_quota(directory: str, controllers: str) -> float | None:
+    """CPUs' worth of time one cgroup directory allows, or None if unlimited."""
+    try:
+        if controllers:  # v1: quota and period in their own files, -1 unlimited
+            with open(os.path.join(directory, "cpu.cfs_quota_us")) as f:
+                quota = f.read().strip()
+            with open(os.path.join(directory, "cpu.cfs_period_us")) as f:
+                period = f.read().strip()
+        else:  # v2: "quota period", quota "max" when unlimited
+            with open(os.path.join(directory, "cpu.max")) as f:
+                quota, period = f.read().split()
+        if quota in ("max", "-1"):
+            return None
+        return int(quota) / int(period)
+    except (OSError, ValueError):
+        return None
+
+
+def _cpu_quota() -> int | None:
+    """Whole CPUs (rounded up) that the process's cgroups let it use, the
+    tightest limit over its cgroup and every ancestor; None when unlimited or
+    unreadable."""
+    try:
+        with open(_CGROUP_MEMBERSHIP) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        # a v1 hierarchy is mounted under its controller names, v2 at the root
+        base = os.path.join(_CGROUP_ROOT, controllers)
+        parts = [part for part in path.split("/") if part]
+        # inside a container the path may name the host's cgroup, which is
+        # then not mounted; its ancestors down to the mount root still count
+        for depth in range(len(parts), -1, -1):
+            quota = _read_quota(os.path.join(base, *parts[:depth]), controllers)
+            if quota is not None:
+                limits.append(max(1, math.ceil(quota)))
+    return min(limits, default=None)
+
+
 def _usable_cpus() -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _block_count(nnz: int) -> int:
     """Row blocks for a design with nnz stored entries: one per usable CPU,
     each holding at least ``_NNZ_PER_THREAD`` entries."""
     return max(1, min(_usable_cpus(), nnz // _NNZ_PER_THREAD))
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The process's pool of kernel threads, one fewer than its usable CPUs,
+    shared by every problem and made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(1, _usable_cpus() - 1), thread_name_prefix="ceqn-kernel"
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the executor but none of its threads, and the
+    # lock in whatever state another thread left it
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _split(offsets: np.ndarray, k: int) -> list[slice]:
@@ -131,8 +213,8 @@ class LogisticProblem:
 
     Per-sample passes run over row blocks of the design; per-feature passes
     over row blocks of its transpose, a CSR copy, or with a single block the
-    CSC view ``design.T``. The calling thread and a private pool of ``k - 1``
-    threads, made on first use, share out the blocks.
+    CSC view ``design.T``. The calling thread and the process's kernel
+    pool share out the blocks.
     """
 
     def __init__(self, design: sp.csr_matrix, labels, mu: float):
@@ -163,9 +245,6 @@ class LogisticProblem:
             # order, the order in which the CSC product adds them up
             design_t = design.T.tocsr()
             self._cols = [(s, _row_view(design_t, s)) for s in _split(design_t.indptr, k)]
-        # (process id, executor); a forked child inherits the executor but
-        # none of its threads, so it makes its own
-        self._pool = (None, None)
         # (private copy of x, read-only margins) of the last point evaluated
         self._last = None
 
@@ -173,18 +252,14 @@ class LogisticProblem:
         """fn(out, matrix) for every block, in this thread and the pool's.
 
         Each thread takes the next block not yet taken. A pool thread slow
-        to start (its CPU busy elsewhere) does not hold up the call: this
-        thread takes the remaining blocks and cancels the unstarted task.
+        to start (its CPU busy elsewhere, or taken by another call) does not
+        hold up the call: this thread takes the remaining blocks and cancels
+        the unstarted tasks.
         """
         if len(blocks) == 1:
             fn(*blocks[0])
             return
-        pid, pool = self._pool
-        if pid != os.getpid():
-            # threads racing here may each make a pool; the unused one is
-            # collected with its idle threads
-            pool = ThreadPoolExecutor(len(self._rows) - 1, thread_name_prefix="ceqn-kernel")
-            self._pool = (os.getpid(), pool)
+        pool = _kernel_pool()
         pending = blocks[::-1]
 
         def drain():
@@ -231,15 +306,10 @@ class LogisticProblem:
     def value(self, x: Vector) -> float:
         _check_dim(x, self.dimension)
         t = self._margins(x)
-        losses = np.empty(self.n)
-
-        def rows(out, block):
-            losses[out] = _log1p_exp_neg(t[out])
-
-        self._run(rows, self._rows)
-        # one sum over the whole array, so its order does not depend on blocks
         with np.errstate(over="ignore"):
-            return float(np.sum(losses) / self.n + 0.5 * self.mu * float(x @ x))
+            return float(
+                np.sum(_log1p_exp_neg(t)) / self.n + 0.5 * self.mu * float(x @ x)
+            )
 
     def gradient(self, x: Vector) -> Vector:
         _check_dim(x, self.dimension)
@@ -264,30 +334,23 @@ class LogisticProblem:
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         """Rows H(x) v_i: margins and weights once, then two sparse mat-mats.
 
-        The product with ``design.T`` uses the CSC view, not a copy, split
-        over the directions; with a handful of directions it is faster than
-        the transposed CSR copy.
+        The product with ``design.T`` runs on this thread through the CSC
+        view, not the transposed copy: with a handful of directions the view
+        is the faster of the two.
         """
         _check_dim(x, self.dimension)
         _check_batch(V, self.dimension)
         t = self._margins(x)
-        m = V.shape[0]
         vt = np.ascontiguousarray(V.T)
-        weighted = np.empty((self.n, m))
-        out = np.empty((m, self.dimension))
+        weighted = np.empty((self.n, V.shape[0]))
 
-        def rows(part, block):
-            sig = _sigmoid(t[part])
+        def rows(out, block):
+            sig = _sigmoid(t[out])
             w = sig * (1.0 - sig) / self.n
-            np.multiply(w[:, None], block @ vt, out=weighted[part])
-
-        def probes(part, design_t):
-            np.add((design_t @ weighted[:, part]).T, self.mu * V[part], out=out[part])
+            np.multiply(w[:, None], block @ vt, out=weighted[out])
 
         self._run(rows, self._rows)
-        cuts = _split(np.arange(m + 1), min(m, len(self._rows)))
-        self._run(probes, [(part, self.design.T) for part in cuts])
-        return out
+        return (self.design.T @ weighted).T + self.mu * V
 
 
 class QuadraticProblem:

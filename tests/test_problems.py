@@ -367,6 +367,40 @@ class TestBlockedKernels:
         monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
         assert problems._block_count(99 * per) == 1
 
+    def test_cpus_are_capped_by_the_cgroup_quota(self, monkeypatch):
+        monkeypatch.setattr(problems.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(problems, "_cpu_quota", lambda: None)
+        assert problems._usable_cpus() == 4
+        monkeypatch.setattr(problems, "_cpu_quota", lambda: 1)
+        assert problems._usable_cpus() == 1
+        assert problems._block_count(99 * problems._NNZ_PER_THREAD) == 1
+
+    @pytest.mark.parametrize(
+        "membership, files, expected",
+        [
+            # v2: the tightest limit on the path, rounded up to whole CPUs
+            ("0::/a/b\n", {"cpu.max": "max 100000", "a/cpu.max": "250000 100000",
+                           "a/b/cpu.max": "max 100000"}, 3),
+            ("0::/\n", {"cpu.max": "50000 100000"}, 1),
+            ("0::/a\n", {"a/cpu.max": "max 100000"}, None),
+            # v1: a host path not mounted here falls back to the mount root
+            ("3:cpuset:/\n1:cpu,cpuacct:/host/ctr\n",
+             {"cpu,cpuacct/cpu.cfs_quota_us": "200000",
+              "cpu,cpuacct/cpu.cfs_period_us": "100000"}, 2),
+            ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1",
+                           "cpu/cpu.cfs_period_us": "100000"}, None),
+            ("1:cpu:/\n", {}, None),
+        ],
+    )
+    def test_cpu_quota_reads_cgroup_files(self, tmp_path, monkeypatch, membership, files, expected):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text + "\n")
+        (tmp_path / "membership").write_text(membership)
+        monkeypatch.setattr(problems, "_CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(problems, "_CGROUP_MEMBERSHIP", str(tmp_path / "membership"))
+        assert problems._cpu_quota() == expected
+
     def test_blocks_are_views_covering_every_row(self, rng):
         serial = random_logistic(rng, n=40, d=9)
         prob = blocked(serial, 3)
@@ -383,14 +417,27 @@ class TestBlockedKernels:
             assert bounds[0][0] == 0 and bounds[-1][1] == size
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
-    def test_one_block_uses_the_csc_view_and_no_pool(self, rng):
+    def test_one_block_uses_the_csc_view_and_no_pool(self, rng, monkeypatch):
         prob = random_logistic(rng)
         assert len(prob._rows) == len(prob._cols) == 1
         assert prob._cols[0][1].format == "csc"
         assert np.shares_memory(prob._cols[0][1].data, prob.design.data)
+
+        def no_pool():
+            raise AssertionError("a one-block problem asked for the pool")
+
+        monkeypatch.setattr(problems, "_kernel_pool", no_pool)
         x, V = rng.normal(size=10), rng.normal(size=(4, 10))
         oracle_bytes(prob, x, V)
-        assert prob._pool == (None, None)
+
+    def test_problems_share_one_pool(self, rng):
+        first, second = (blocked(random_logistic(rng, n=60, d=9), k) for k in (2, 3))
+        x = rng.normal(size=9)
+        first.gradient(x)
+        pool = problems._pool
+        second.gradient(x)
+        assert pool is not None and problems._pool is pool
+        assert pool._max_workers == max(1, problems._usable_cpus() - 1)
 
     @settings(max_examples=150)
     @given(
@@ -423,18 +470,26 @@ class TestBlockedKernels:
         prob = blocked(serial, 2)
         x, y = rng.normal(size=20), rng.normal(size=20)
         prob.gradient(x)  # the parent's pool now has its thread
-        assert prob._pool[1] is not None
+        assert problems._pool is not None
         context = multiprocessing.get_context("fork")
         queue = context.Queue()
-        child = context.Process(target=lambda: queue.put(prob.gradient(y).tobytes()))
+
+        def child_gradient():
+            # the parent's kernel thread is gone here: the child needs its own
+            got = prob.gradient(y).tobytes()
+            live = [t for t in threading.enumerate() if t.name.startswith("ceqn-kernel")]
+            queue.put((got, len(live)))
+
+        child = context.Process(target=child_gradient)
         child.start()
         try:
-            got = queue.get(timeout=30.0)
+            got, kernel_threads = queue.get(timeout=30.0)
         finally:
             child.join(timeout=30.0)
             if child.is_alive():
                 child.kill()
         assert child.exitcode == 0
+        assert kernel_threads >= 1
         assert got == serial.gradient(y).tobytes() == prob.gradient(y).tobytes()
 
 
