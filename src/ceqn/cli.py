@@ -4,7 +4,6 @@ Commands:
   run         execute one configuration, writing trace.csv and summary.json
   grid        sweep one parameter over a value grid x seed set, pick a winner
   compare     aggregate completed run sets into a side-by-side report
-  fetch-data  download a named dataset and verify its recorded content hash
 
 All machine-readable output is JSON first; aligned text rendering is layered
 on top for humans.
@@ -13,12 +12,10 @@ on top for humans.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import statistics
 import sys
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +24,6 @@ from .data_io import (
     RunSpec,
     load_config,
     read_trace_csv,
-    resolve_dataset_path,
     write_summary_json,
     write_trace_csv,
 )
@@ -47,13 +43,6 @@ GRID_PRESETS: dict[str, list[float]] = {
 
 GRAD_TARGETS = (1e-4, 1e-6, 1e-8)
 
-DATASET_REGISTRY: dict[str, dict] = {
-    "a9a": {
-        "url": "https://www.csie.ntu.edu.tw/~cjlin/libsvmtools/datasets/binary/a9a",
-        "sha256": None,  # recorded on first successful fetch
-    },
-}
-
 
 @dataclass
 class GridSpec:
@@ -67,10 +56,6 @@ class GridSpec:
             raise ValueError("grid must be nonempty")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("grid values must be finite")
-
-
-class FetchError(RuntimeError):
-    """Dataset download failed or did not match the recorded hash."""
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -396,59 +381,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _default_fetcher(url: str) -> bytes:
-    with urllib.request.urlopen(url) as response:  # noqa: S310 - explicit user action
-        return response.read()
-
-
-def fetch_dataset(
-    name: str,
-    dest_dir: str | Path,
-    url: str | None = None,
-    sha256: str | None = None,
-    fetcher=None,
-) -> Path:
-    """Download a dataset and verify its content hash.
-
-    The expected hash comes from, in order: the explicit argument, the
-    registry, or a previously recorded ``<name>.sha256`` file next to the
-    destination. When no hash is known the digest of the first download is
-    recorded for future verification.
-    """
-    registry = DATASET_REGISTRY.get(name, {})
-    url = url or registry.get("url")
-    if not url:
-        raise FetchError(f"no URL known for dataset {name!r}")
-    dest_dir = Path(dest_dir)
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    record_path = dest_dir / f"{name}.sha256"
-    expected = sha256 or registry.get("sha256")
-    if expected is None and record_path.exists():
-        expected = record_path.read_text(encoding="utf-8").strip()
-    data = (fetcher or _default_fetcher)(url)
-    digest = hashlib.sha256(data).hexdigest()
-    if expected is not None and digest != expected:
-        raise FetchError(
-            f"hash mismatch for {name}: expected {expected}, got {digest}"
-        )
-    target = dest_dir / name
-    target.write_bytes(data)
-    if expected is None:
-        record_path.write_text(digest + "\n", encoding="utf-8")
-    return target
-
-
-def cmd_fetch_data(args) -> int:
-    try:
-        dest = args.dest or str(resolve_dataset_path("."))
-        path = fetch_dataset(args.name, dest, url=args.url, sha256=args.sha256)
-    except (FetchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps({"dataset": args.name, "path": str(path)}))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ceqn", description="Quasi-Newton stepsize benchmark harness"
@@ -486,12 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--out", default=None, help="also write the JSON report here")
     cmp_p.set_defaults(func=cmd_compare)
 
-    fetch_p = sub.add_parser("fetch-data", help="download a dataset by name")
-    fetch_p.add_argument("name", help="registered dataset name")
-    fetch_p.add_argument("--dest", default=None, help="destination directory")
-    fetch_p.add_argument("--url", default=None, help="override the registry URL")
-    fetch_p.add_argument("--sha256", default=None, help="expected content hash")
-    fetch_p.set_defaults(func=cmd_fetch_data)
     return parser
 
 

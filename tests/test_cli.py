@@ -1,13 +1,10 @@
-import hashlib
 import json
 
 import pytest
 
 from ceqn.cli import (
-    FetchError,
     GridSpec,
     build_compare_report,
-    fetch_dataset,
     main,
     render_compare_text,
     select_winner,
@@ -322,53 +319,3 @@ class TestCompare:
         (bad / "summary.json").write_text("{}")
         code = main(["compare", str(bad), str(bad)])
         assert code == 2
-
-
-class TestFetch:
-    def test_fetch_verifies_recorded_hash(self, tmp_path):
-        payload = b"+1 1:1\n-1 2:1\n"
-        digest = hashlib.sha256(payload).hexdigest()
-        path = fetch_dataset(
-            "tiny", tmp_path, url="memory://tiny",
-            sha256=digest, fetcher=lambda url: payload,
-        )
-        assert path.read_bytes() == payload
-
-    def test_fetch_rejects_mismatch(self, tmp_path):
-        with pytest.raises(FetchError, match="hash mismatch"):
-            fetch_dataset(
-                "tiny", tmp_path, url="memory://tiny",
-                sha256="0" * 64, fetcher=lambda url: b"data",
-            )
-
-    def test_fetch_records_hash_on_first_use(self, tmp_path):
-        payload = b"contents"
-        fetch_dataset("tiny", tmp_path, url="m://x", fetcher=lambda url: payload)
-        recorded = (tmp_path / "tiny.sha256").read_text().strip()
-        assert recorded == hashlib.sha256(payload).hexdigest()
-        # second fetch with different bytes now fails verification
-        with pytest.raises(FetchError):
-            fetch_dataset("tiny", tmp_path, url="m://x", fetcher=lambda url: b"other")
-
-    def test_unknown_dataset_without_url(self, tmp_path):
-        with pytest.raises(FetchError, match="no URL"):
-            fetch_dataset("mystery", tmp_path)
-
-    def test_fetch_command_with_file_url(self, tmp_path, capsys):
-        payload = b"+1 1:1\n-1 2:1\n"
-        src = tmp_path / "src.libsvm"
-        src.write_bytes(payload)
-        digest = hashlib.sha256(payload).hexdigest()
-        dest = tmp_path / "data"
-        code = main([
-            "fetch-data", "tiny", "--dest", str(dest),
-            "--url", f"file://{src}", "--sha256", digest,
-        ])
-        assert code == 0
-        assert (dest / "tiny").read_bytes() == payload
-        code = main([
-            "fetch-data", "tiny", "--dest", str(dest),
-            "--url", f"file://{src}", "--sha256", "0" * 64,
-        ])
-        assert code == 1
-        assert "hash mismatch" in capsys.readouterr().err

@@ -1,15 +1,22 @@
 import dataclasses
 import io
 import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceqn import data_io
 from ceqn.data_io import (
     ConfigError,
+    Dataset,
     LibsvmParseError,
     TRACE_HEADER,
     load_config,
@@ -86,8 +93,11 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match="exceeds pinned"):
             parse_libsvm(io.StringIO("+1 11:1.0\n"), dimension=10)
 
-    def test_index_beyond_pinned_dimension_reports_its_line(self):
-        lines = ["+1 1:1\n", "+1 11:1\n", "-1 2:1\n"]
+    def test_index_beyond_pinned_dimension_reports_its_line(self, monkeypatch):
+        # 8-byte blocks hold two of these 7- and 8-byte lines: the input spans
+        # six blocks
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 8)
+        lines = ["+1 1:1\n", "+1 11:1\n"] + ["-1 2:1\n"] * 10
         read = []
 
         def stream():
@@ -99,8 +109,9 @@ class TestParseLibsvm:
             parse_libsvm(stream(), dimension=10)
         assert excinfo.value.line_no == 2
         assert str(excinfo.value).startswith("line 2: feature index 11 exceeds")
-        # reading stops at the offending line
-        assert read == lines[:2]
+        # reading stops within one block past the offending line, where a
+        # parser that reads the whole input first would have read all 12
+        assert len(read) <= 2 + 2
 
     def test_fixture_shape_matches_committed_triple(self):
         ds = parse_libsvm(FIXTURE_LIBSVM)
@@ -110,6 +121,64 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match="int64") as excinfo:
             parse_libsvm(io.StringIO("+1 1:1.0\n+1 2:1 99999999999999999999:1\n"))
         assert excinfo.value.line_no == 2
+
+    def test_index_at_or_above_2_pow_53_reports_line(self):
+        # 2^53 + 1 is the first integer float64 cannot hold; it would round to 2^53
+        for index in (2**53 + 1, 2**53):
+            with pytest.raises(LibsvmParseError, match="2\\^53") as excinfo:
+                parse_libsvm(io.StringIO(f"+1 1:1.0\n+1 2:1 {index}:1\n-1 3:1\n"))
+            assert excinfo.value.line_no == 2
+        ds = parse_libsvm(io.StringIO(f"+1 1:1.0 {2**53 - 1}:2\n"))
+        assert ds.d == 2**53 - 1
+        assert ds.design.indices.tolist() == [0, 2**53 - 2]
+
+    @pytest.mark.parametrize("line", [
+        "+1 1_0:2",  # int() reads '_' between digits
+        "+1 1:1_0",
+        "+1 \u0661:2",  # an Arabic-Indic digit one
+        "+1 1:\u0662",
+        "+1 +3:1",  # int() reads a sign
+        "+1 1:1\u00a02:1",  # a no-break space between tokens
+        "+1 1:1\x0c2:1",
+        "+1 1:1\x0b",
+    ])
+    def test_spellings_outside_the_ascii_grammar_report_line(self, line):
+        with pytest.raises(LibsvmParseError) as excinfo:
+            parse_libsvm(io.StringIO(f"-1 1:1\n{line}\n+1 2:1\n"))
+        assert excinfo.value.line_no == 2
+
+    def test_bytes_that_are_not_utf8_report_line_outside_comments(self, tmp_path):
+        path = tmp_path / "latin1.libsvm"
+        path.write_bytes(b"+1 1:1 # caf\xe9\n-1 2:1\n")
+        assert parse_libsvm(path).n == 2
+        path.write_bytes(b"+1 1:1\n-1 2:1\xe9\n")
+        with pytest.raises(LibsvmParseError) as excinfo:
+            parse_libsvm(path)
+        assert excinfo.value.line_no == 2
+
+    def test_peak_allocation_per_stored_entry_is_bounded(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        lines = []
+        for _ in range(2000):
+            cols = np.sort(rng.choice(2000, size=10, replace=False)) + 1
+            values = rng.standard_normal(10).tolist()
+            lines.append(" ".join(["+1"] + [f"{c}:{v!r}" for c, v in zip(cols, values)]) + "\n")
+        # 20 kB blocks: the input is about 50 of them
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 20_000)
+        already = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ds = parse_libsvm(lines)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not already:
+                tracemalloc.stop()
+        assert ds.nnz == 20_000
+        # the token-by-token line loop peaked at 96 bytes per entry here, this
+        # parser at 28
+        assert peak / ds.nnz < 48
 
     def test_csr_arrays_equal_coo_construction(self):
         rng = np.random.default_rng(7)
@@ -134,6 +203,191 @@ class TestParseLibsvm:
                 a, b = getattr(got, name), getattr(expected, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert got.shape == expected.shape
+
+
+def line_loop_reference(stream, dimension=None, name=""):
+    """The token-by-token line loop that parsed LIBSVM before block parsing."""
+    if isinstance(stream, (str, Path)):
+        with open(stream, "r", encoding="utf-8") as fh:
+            return line_loop_reference(fh, dimension=dimension, name=name or Path(stream).name)
+    source = getattr(stream, "name", "<memory>")
+
+    raw_labels: list[float] = []
+    row_nnz: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    max_index = 0
+    for line_no, line in enumerate(stream, start=1):
+        hash_pos = line.find("#")
+        if hash_pos >= 0:
+            line = line[:hash_pos]
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise LibsvmParseError(line_no, f"non-numeric label {tokens[0]!r}") from None
+        if label not in (-1.0, 0.0, 1.0, 2.0):
+            raise LibsvmParseError(
+                line_no, f"label {tokens[0]!r} is not one of -1, 0, 1, 2"
+            )
+        raw_labels.append(label)
+        prev_index = 0
+        for token in tokens[1:]:
+            idx_text, sep, val_text = token.partition(":")
+            if not sep:
+                raise LibsvmParseError(line_no, f"feature token {token!r} lacks ':'")
+            try:
+                index = int(idx_text)
+                value = float(val_text)
+            except ValueError:
+                raise LibsvmParseError(
+                    line_no, f"non-numeric feature token {token!r}"
+                ) from None
+            if index <= prev_index:
+                raise LibsvmParseError(
+                    line_no,
+                    f"index {index} not strictly increasing after {prev_index}",
+                )
+            if not math.isfinite(value):
+                raise LibsvmParseError(line_no, f"non-finite value in {token!r}")
+            prev_index = index
+            cols.append(index - 1)
+            vals.append(value)
+        if prev_index > np.iinfo(np.int64).max:
+            raise LibsvmParseError(
+                line_no, f"feature index {prev_index} does not fit in int64"
+            )
+        if dimension is not None and prev_index > dimension:
+            raise LibsvmParseError(
+                line_no, f"feature index {prev_index} exceeds pinned dimension {dimension}"
+            )
+        row_nnz.append(len(tokens) - 1)
+        max_index = max(max_index, prev_index)
+    if not raw_labels:
+        raise LibsvmParseError(0, "no samples found")
+
+    label_set = set(raw_labels)
+    if label_set <= {-1.0, 1.0}:
+        labels = np.asarray(raw_labels)
+    elif label_set == {0.0, 1.0}:
+        labels = np.where(np.asarray(raw_labels) == 0.0, -1.0, 1.0)
+    elif label_set == {1.0, 2.0}:
+        labels = np.where(np.asarray(raw_labels) == 2.0, -1.0, 1.0)
+    else:
+        raise LibsvmParseError(
+            0, f"label set {sorted(label_set)} cannot be mapped to -1/+1"
+        )
+
+    d = max_index if dimension is None else dimension
+    indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    design = sp.csr_matrix(
+        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int64), indptr),
+        shape=(len(raw_labels), d),
+    )
+    return Dataset(design=design, labels=labels, name=name, source=str(source))
+
+
+def parse_outcome(parse, *args, **kwargs):
+    """Every CSR array and the labels as (dtype, bytes), or the error's line."""
+    try:
+        ds = parse(*args, **kwargs)
+    except LibsvmParseError as exc:
+        return ("error", exc.line_no)
+    arrays = (ds.design.data, ds.design.indices, ds.design.indptr, ds.labels)
+    return ("ok", ds.design.shape, [(a.dtype.str, a.tobytes()) for a in arrays])
+
+
+# labels that map together, and all of them, which mostly do not
+LABEL_SETS = [
+    ["+1", "-1", "1.0"],
+    ["0", "1", "1.0"],
+    ["1", "2", "1.0"],
+    ["+1", "-1", "0", "1", "2", "1.0"],
+]
+VALUE_TEXT = st.one_of(
+    st.sampled_from(
+        ["1e-05", "1E+3", ".5", "5.", "-0.0", "0", "5e-324", "-4.9e-324", "1e-310", "+2"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:g}"),
+)
+# tokens the line loop rejects in a label's or a feature's place; the last
+# features only where they follow a higher index
+BAD_LABELS = ["1:1", "nan", "inf", "0x1p3", "\u00e9", "3", "-2", "1e999", "+"]
+BAD_FEATURES = [
+    "2:3:4", "5:", ":5", "3.0:1", "1e1:3", "1:nan", "1:inf", "1:-inf", "1:0x1p3",
+    "1:\u00e9", "\u00e9:1", "0:1", "-1:1", "1:1e999", "12", "1::2", "a:1", "1:1-1", "1:1.5.5",
+    "1:1", "5:2", "1 :2", "1: 2",
+]
+
+
+@st.composite
+def libsvm_text_lines(draw):
+    """LIBSVM lines with mixed spellings, blanks, comments and a few bad tokens."""
+    labels = draw(st.sampled_from(LABEL_SETS))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# a comment", "#", "  # 1:2 x\u00e9"]))
+        else:
+            cols = sorted(draw(st.sets(st.integers(1, 22), max_size=5)))
+            tokens = [draw(st.sampled_from(labels))]
+            tokens += [f"{c}:{draw(VALUE_TEXT)}" for c in cols]
+            if draw(st.integers(0, 15)) == 0:
+                at = draw(st.integers(0, len(tokens)))
+                bad = draw(st.sampled_from(BAD_LABELS if at == 0 else BAD_FEATURES))
+                tokens[at:at + 1] = [bad]
+            seps = [draw(st.sampled_from([" ", "\t", "  ", " \t"])) for _ in tokens]
+            line = "".join(t + s for t, s in zip(tokens, seps))
+            if not draw(st.booleans()):
+                line = line.rstrip(" \t")
+            if draw(st.integers(0, 4)) == 0:
+                line += draw(st.sampled_from(["# trailing", " # 3:4", "#\u00e9"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+class TestBlockParserAgainstLineLoop:
+    @settings(max_examples=400)
+    @given(
+        libsvm_text_lines(),
+        st.sampled_from([None, 20, 30]),
+        st.sampled_from([1, 9, 40, 1 << 20]),
+        st.sampled_from(["list", "stream", "path"]),
+    )
+    def test_same_arrays_or_same_error_line(self, lines, dimension, block_bytes, form):
+        with mock.patch.object(data_io, "_BLOCK_BYTES", block_bytes):
+            if form == "path":
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = Path(tmp) / "in.libsvm"
+                    path.write_bytes("".join(lines).encode("utf-8"))
+                    got = parse_outcome(parse_libsvm, path, dimension=dimension)
+                    expected = parse_outcome(line_loop_reference, path, dimension=dimension)
+            else:
+                make = list if form == "list" else lambda ls: io.StringIO("".join(ls))
+                got = parse_outcome(parse_libsvm, make(lines), dimension=dimension)
+                expected = parse_outcome(line_loop_reference, make(lines), dimension=dimension)
+        assert got == expected
+
+    @pytest.mark.parametrize("row", [f"{bad} 2:1" for bad in BAD_LABELS] + [
+        template.format(bad)
+        for bad in BAD_FEATURES
+        for template in ("+1 {}", "+1 {} 25:1", "+1 5:1 {}")
+    ])
+    def test_each_bad_token_gives_the_line_loops_outcome(self, row):
+        lines = ["+1 1:1\n", "# comment\n", f"{row}\n", "-1 3:1\n", "+1 4:0.5\n"]
+        expected = parse_outcome(line_loop_reference, list(lines))
+        for block_bytes in (1, 9, 1 << 20):
+            with mock.patch.object(data_io, "_BLOCK_BYTES", block_bytes):
+                assert parse_outcome(parse_libsvm, list(lines)) == expected
 
 
 def coo_reference(text, dimension):
