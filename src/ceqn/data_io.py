@@ -53,6 +53,9 @@ _BLOCK_BYTES = 1 << 20
 _MAX_INDEX = np.iinfo(np.int64).max
 # indices pass through float64, which holds every integer below 2^53 exactly
 _MAX_EXACT_INDEX = 2**53 - 1
+# scipy stores CSR indices and offsets as int32 when every value fits, so
+# arrays built as int32 then reach the matrix without a copy
+_MAX_INT32 = np.iinfo(np.int32).max
 
 # outside comments a line holds ASCII decimal numbers, colons and these
 # separators; the newline ends it
@@ -187,7 +190,8 @@ def _parse_blocks(
     d = max_index if dimension is None else dimension
     # lines are rows in file order and tokens are already sorted by column,
     # so the CSR arrays are the blocks' arrays plus row offsets
-    indptr = np.zeros(raw.size + 1, dtype=np.int64)
+    stored = sum(c.size for c in cols)
+    indptr = np.zeros(raw.size + 1, dtype=np.int32 if stored <= _MAX_INT32 else np.int64)
     np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
     data = np.concatenate(vals)
     del vals
@@ -286,7 +290,9 @@ def _parse_block(block: bytes, dimension: int | None):
     if not np.isfinite(value).all():
         return None
     row_nnz = np.diff(label_tokens, append=starts.size) - 1
-    return labels, row_nnz, index.astype(np.int64) - 1, value, newlines.size
+    index -= 1
+    columns = index.astype(np.int32 if index.max(initial=0) <= _MAX_INT32 else np.int64)
+    return labels, row_nnz, columns, value, newlines.size
 
 
 def _raise_first_error(block: bytes, first_line: int, dimension: int | None) -> NoReturn:

@@ -19,6 +19,7 @@ from ceqn.problems import (
     QuadraticProblem,
     _log1p_exp_neg,
     _sigmoid,
+    _sigmoid_neg,
     finite_diff_gradient,
     tridiagonal_quadratic,
 )
@@ -139,8 +140,16 @@ SPECIAL_MARGINS = [
 ]
 
 
+def stable(kernel, t):
+    """A per-sample formula over t and e = exp(-|t|), into a fresh array."""
+    out = np.empty_like(t)
+    kernel(t, np.exp(-np.abs(t)), out)
+    return out
+
+
 class TestStableKernels:
-    """The mask-free kernels against the masked reference, bit for bit."""
+    """The mask-free per-sample formulas against the masked reference, bit
+    for bit."""
 
     @settings(max_examples=400)
     @given(hnp.arrays(
@@ -155,9 +164,9 @@ class TestStableKernels:
     @example(np.array(SPECIAL_MARGINS))
     @example(np.array(SPECIAL_MARGINS[::-1] * 3 + [1.0]))
     def test_equal_to_masked_reference(self, t):
-        assert same_bits(_log1p_exp_neg(t), masked_log1p_exp_neg(t))
-        assert same_bits(_sigmoid(t), masked_sigmoid(t))
-        assert same_bits(_sigmoid(-t), masked_sigmoid(-t))
+        assert same_bits(stable(_log1p_exp_neg, t), masked_log1p_exp_neg(t))
+        assert same_bits(stable(_sigmoid, t), masked_sigmoid(t))
+        assert same_bits(stable(_sigmoid_neg, t), masked_sigmoid(-t))
 
 
 def reference_hvp(prob, x, v):
@@ -259,8 +268,10 @@ class TestMarginCache:
         expected = oracle_bytes(fresh_copy(prob), x, V)
         prob.gradient(x)[:] = 7.0
         prob.hvp_batch(x, V)[:] = 7.0
-        with pytest.raises(ValueError):
-            prob._margins(x)[0] = 7.0
+        _, t, e = prob._last
+        for cached in (t, e):
+            with pytest.raises(ValueError):
+                cached[0] = 7.0
         assert oracle_bytes(prob, x, V) == expected
 
     def test_equal_point_hits_and_nan_point_misses(self, rng):
@@ -268,9 +279,11 @@ class TestMarginCache:
         x, V = rng.normal(size=10), rng.normal(size=(3, 10))
         prob.gradient(x)
         slot = prob._last
+        cached = [a.tobytes() for a in slot]
         prob.value(x.copy())
         prob.hvp_batch(x.copy(), V)
         assert prob._last is slot
+        assert [a.tobytes() for a in slot] == cached
         x[0] = math.nan
         prob.value(x)
         nan_slot = prob._last
@@ -329,12 +342,13 @@ def blocked(prob, k):
 
 
 def serial_oracle(prob, x, V):
-    """value, gradient and hvp_batch at x by the one-block formulas, as bytes."""
+    """value, gradient and hvp_batch at x by the one-block formulas over the
+    masked references."""
     with np.errstate(over="ignore"):
         t = prob.labels * (prob.design @ x)
-        value = np.sum(_log1p_exp_neg(t)) / prob.n + 0.5 * prob.mu * float(x @ x)
-    gradient = prob.design.T @ (-prob.labels * _sigmoid(-t) / prob.n) + prob.mu * x
-    sig = _sigmoid(t)
+        value = np.sum(masked_log1p_exp_neg(t)) / prob.n + 0.5 * prob.mu * float(x @ x)
+    gradient = prob.design.T @ (-prob.labels * masked_sigmoid(-t) / prob.n) + prob.mu * x
+    sig = masked_sigmoid(t)
     w = sig * (1.0 - sig) / prob.n
     hvps = (prob.design.T @ (w[:, None] * (prob.design @ V.T))).T + prob.mu * V
     return np.float64(value), gradient, hvps
@@ -461,6 +475,44 @@ class TestBlockedKernels:
             for a, b in zip(got, expected):
                 assert same_bits(a, b)
             assert same_bits(prob.hvp(x, V[0]), expected[2][0])
+
+    @settings(max_examples=100)
+    @given(
+        messy_problems(),
+        st.sampled_from([1, 2, 3]),
+        st.lists(st.sampled_from(["normal", "1e3", "+0", "-0", "nan"]), min_size=2, max_size=3),
+        st.lists(
+            st.tuples(st.sampled_from(["value", "gradient", "hvp_batch", "hvp"]), st.integers(0, 2)),
+            min_size=1, max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_call_order_equals_serial_formulas(self, serial, k, kinds, calls, random):
+        """Calls in any order over a few points, each a cache hit or a miss,
+        give the one-block results on k blocks."""
+        rng = np.random.default_rng(random.getrandbits(32))
+        d = serial.dimension
+        points = []
+        for kind in kinds:
+            x = rng.normal(size=d) * (1e3 if kind == "1e3" else 1.0)
+            if kind in ("+0", "-0"):
+                x[:] = -0.0 if kind == "-0" else 0.0
+            elif kind == "nan":
+                x[random.randrange(d)] = math.nan
+            points.append(x)
+        V = rng.normal(size=(3, d))
+        expected = [serial_oracle(serial, x, V) for x in points]
+        prob = blocked(serial, k)
+        for name, i in calls:
+            x, (value, gradient, hvps) = points[i % len(points)], expected[i % len(points)]
+            if name == "value":
+                assert same_bits(np.float64(prob.value(x)), value)
+            elif name == "gradient":
+                assert same_bits(prob.gradient(x), gradient)
+            elif name == "hvp_batch":
+                assert same_bits(prob.hvp_batch(x, V), hvps)
+            else:
+                assert same_bits(prob.hvp(x, V[1]), hvps[1])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
