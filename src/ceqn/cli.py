@@ -43,6 +43,9 @@ GRID_PRESETS: dict[str, list[float]] = {
 
 GRAD_TARGETS = (1e-4, 1e-6, 1e-8)
 
+# a grid row repeats these summary.json entries of its run, in this order
+_SUMMARY_ROW_KEYS = ("seed", "termination", "iterations", "final_f", "final_grad_norm_sq")
+
 
 @dataclass
 class GridSpec:
@@ -80,41 +83,19 @@ def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
     still runs. Only failing to write into ``out_dir`` raises.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    status = "ok"
-    message = ""
+    row = {"run_id": out_dir.name, "status": "ok", "message": ""}
     try:
         result = run_solver(problem, spec.to_solver_config())
     except NumericalFailureError as exc:
         result = exc.result
-        status = "failed"
-        message = str(exc)
+        row.update(status="failed", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - one run's crash is data, not a sweep abort
-        return {
-            "run_id": out_dir.name,
-            "status": "error",
-            "message": f"{type(exc).__name__}: {exc}",
-            "seed": spec["seed"],
-            "termination": None,
-            "iterations": 0,
-            "final_f": None,
-            "final_grad_norm_sq": None,
-        }
+        row.update(status="error", message=f"{type(exc).__name__}: {exc}")
+        # the summary keys of a run that left no summary
+        return row | dict.fromkeys(_SUMMARY_ROW_KEYS) | {"seed": spec["seed"], "iterations": 0}
     write_trace_csv(result, out_dir / "trace.csv")
-    write_summary_json(result, out_dir / "summary.json", dataset_info)
-    return {
-        "run_id": out_dir.name,
-        "status": status,
-        "message": message,
-        "seed": result.seed,
-        "termination": result.termination,
-        "iterations": len(result.trace),
-        "final_f": result.f_final if math.isfinite(result.f_final) else None,
-        "final_grad_norm_sq": (
-            result.grad_norm_sq_final
-            if math.isfinite(result.grad_norm_sq_final)
-            else None
-        ),
-    }
+    summary = write_summary_json(result, out_dir / "summary.json", dataset_info)
+    return row | {key: summary[key] for key in _SUMMARY_ROW_KEYS}
 
 
 def cmd_run(args) -> int:

@@ -10,9 +10,10 @@ per-line checker, which raises the first error with its line number, so the
 reading stops within one block past a bad line and memory beyond the result
 is bounded by the block.
 
-Traces are written as CSV with a fixed header and shortest-round-trip float
-text so a read-back recovers every numeric field exactly. Run configurations
-are flat JSON documents validated key by key.
+Traces are written as CSV, one column per ``TraceRecord`` field in declaration
+order, with shortest-round-trip float text so a read-back recovers every
+numeric field exactly. Run configurations are flat JSON documents validated
+key by key.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, Iterable, Iterator, NoReturn, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,10 +65,14 @@ _SEPARATORS = " \t\r"
 _ALLOWED_CHARS = frozenset(_SEPARATORS + "0123456789+-.eE:")
 _ALLOWED_BYTES = "".join(sorted(_ALLOWED_CHARS)).encode("ascii") + b"\n"
 
-TRACE_HEADER = (
-    "iter,wall_seconds,f,grad_norm_sq,grad_dual_norm,eta,alpha,"
-    "inner_count,skipped_pairs,fallback,n_value,n_grad,n_hvp"
+# a trace column is read back by the parser of its TraceRecord field's type
+_FIELD_PARSERS = {int: int, float: float, bool: lambda text: bool(int(text))}
+_TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+_TRACE_PARSERS = tuple(
+    _FIELD_PARSERS[get_type_hints(TraceRecord)[name]] for name in _TRACE_COLUMNS
 )
+_trace_row = attrgetter(*_TRACE_COLUMNS)
+TRACE_HEADER = ",".join(_TRACE_COLUMNS)
 
 
 class LibsvmParseError(ValueError):
@@ -371,60 +377,33 @@ def write_trace_csv(result: RunResult, sink: IO[str] | str | Path) -> None:
         return
     sink.write(TRACE_HEADER + "\n")
     for rec in result.trace:
-        sink.write(
-            ",".join(
-                _format_field(v)
-                for v in (
-                    rec.iter,
-                    rec.wall_seconds,
-                    rec.f,
-                    rec.grad_norm_sq,
-                    rec.grad_dual_norm,
-                    rec.eta,
-                    rec.alpha,
-                    rec.inner_count,
-                    rec.skipped_pairs,
-                    rec.fallback,
-                    rec.n_value,
-                    rec.n_grad,
-                    rec.n_hvp,
-                )
-            )
-            + "\n"
-        )
+        sink.write(",".join(map(_format_field, _trace_row(rec))) + "\n")
 
 
 def read_trace_csv(source: IO[str] | str | Path) -> list[TraceRecord]:
-    """Read back a trace CSV; numeric fields round-trip exactly."""
+    """Read back a trace CSV; numeric fields round-trip exactly.
+
+    Raises ValueError naming the 1-based line of a row whose field count is
+    not the header's.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return read_trace_csv(fh)
     lines = [line.rstrip("\n") for line in source]
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("trace CSV header missing or unexpected")
-    records = []
-    for line in lines[1:]:
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        records.append(
-            TraceRecord(
-                iter=int(parts[0]),
-                wall_seconds=float(parts[1]),
-                f=float(parts[2]),
-                grad_norm_sq=float(parts[3]),
-                grad_dual_norm=float(parts[4]),
-                eta=float(parts[5]),
-                alpha=float(parts[6]),
-                inner_count=int(parts[7]),
-                skipped_pairs=int(parts[8]),
-                fallback=bool(int(parts[9])),
-                n_value=int(parts[10]),
-                n_grad=int(parts[11]),
-                n_hvp=int(parts[12]),
+        if len(parts) != len(_TRACE_COLUMNS):
+            raise ValueError(
+                f"trace CSV line {line_no}: {len(parts)} fields, expected {len(_TRACE_COLUMNS)}"
             )
-        )
-    return records
+        rows.append(parts)
+    columns = [list(map(parse, texts)) for parse, texts in zip(_TRACE_PARSERS, zip(*rows))]
+    return [TraceRecord(*values) for values in zip(*columns)]
 
 
 def config_to_dict(config: SolverConfig) -> dict:
@@ -460,12 +439,14 @@ def config_to_dict(config: SolverConfig) -> dict:
 
 def write_summary_json(
     result: RunResult, sink: IO[str] | str | Path, dataset_info: dict | None = None
-) -> None:
-    """Write a run summary: config echo, termination, finals, and totals."""
+) -> dict:
+    """Write a run summary: config echo, termination, finals, and totals.
+
+    Returns the summary it wrote; non-finite finals are written as null.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
-            write_summary_json(result, fh, dataset_info)
-        return
+            return write_summary_json(result, fh, dataset_info)
     f_final = result.f_final if math.isfinite(result.f_final) else None
     gns_final = (
         result.grad_norm_sq_final
@@ -491,6 +472,7 @@ def write_summary_json(
         summary["dataset"] = dataset_info
     json.dump(summary, sink, indent=2)
     sink.write("\n")
+    return summary
 
 
 PROBLEM_LOGISTIC = "logistic"

@@ -51,6 +51,7 @@ TERM_GRAD_TOL = "GRAD_TOL"
 TERM_MAX_ITERS = "MAX_ITERS"
 TERM_TIMEOUT = "TIMEOUT"
 TERM_STATIONARY = "STATIONARY"
+TERM_NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 
 X0_ALL_ONES = "ALL_ONES"
 X0_ZERO = "ZERO"
@@ -209,13 +210,16 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
 
     alpha = config.adaptive.alpha0 if config.adaptive is not None else None
 
-    def partial(x_cur, f_cur, gns_cur) -> RunResult:
+    def finish(termination: str, x_end: Vector, f_end: float, g_end: Vector) -> RunResult:
+        # a diverged gradient may square past the float range: inf is the answer
+        with np.errstate(over="ignore"):
+            gns_end = float(g_end @ g_end)
         return RunResult(
             trace=trace,
-            termination="NUMERICAL_FAILURE",
-            x_final=x_cur,
-            f_final=float(f_cur),
-            grad_norm_sq_final=float(gns_cur),
+            termination=termination,
+            x_final=x_end,
+            f_final=float(f_end),
+            grad_norm_sq_final=gns_end,
             config=config,
             seed=config.seed,
             wall_seconds=time.perf_counter() - t0,
@@ -227,11 +231,10 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
 
     f = oracle.value(x)
     g = oracle.gradient(x)
-    gns = float(g @ g)
     if not math.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericalFailureError(
             "objective or gradient non-finite at the start point",
-            partial(x, f, gns),
+            finish(TERM_NUMERICAL_FAILURE, x, f, g),
         )
 
     buffer = (
@@ -292,7 +295,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         if not math.isfinite(f_next) or not np.all(np.isfinite(g_next)):
             raise NumericalFailureError(
                 f"objective or gradient non-finite at iteration {k}",
-                partial(x_next, f_next, float(g_next @ g_next)),
+                finish(TERM_NUMERICAL_FAILURE, x_next, f_next, g_next),
             )
 
         stalled = np.array_equal(x_next, x)
@@ -307,20 +310,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
                 termination = TERM_STATIONARY
                 break
 
-    return RunResult(
-        trace=trace,
-        termination=termination,
-        x_final=x,
-        f_final=float(f),
-        grad_norm_sq_final=float(g @ g),
-        config=config,
-        seed=config.seed,
-        wall_seconds=time.perf_counter() - t0,
-        n_value=oracle.n_value,
-        n_grad=oracle.n_grad,
-        n_hvp=oracle.n_hvp,
-        final_alpha=alpha,
-    )
+    return finish(termination, x, f, g)
 
 
 def _engine_iteration(

@@ -46,11 +46,9 @@ class DimensionMismatchError(ValueError):
     """A vector argument does not match the problem dimension."""
 
 
-def _check_dim(x: np.ndarray, d: int, what: str = "x") -> None:
+def _check_dim(x: np.ndarray, d: int) -> None:
     if x.shape != (d,):
-        raise DimensionMismatchError(
-            f"{what} has shape {x.shape}, expected ({d},)"
-        )
+        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({d},)")
 
 
 def _check_batch(v: np.ndarray, d: int) -> None:
@@ -213,8 +211,6 @@ class ProblemOracle(Protocol):
 
     def gradient(self, x: Vector) -> Vector: ...
 
-    def hvp(self, x: Vector, v: Vector) -> Vector: ...
-
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray: ...
 
 
@@ -359,10 +355,6 @@ class LogisticProblem:
         self._run(cols, self._cols)
         return g
 
-    def hvp(self, x: Vector, v: Vector) -> Vector:
-        _check_dim(v, self.dimension, "v")
-        return self.hvp_batch(x, v[None])[0]
-
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         """Rows H(x) v_i: one pass over the row blocks for the weights
         sigmoid(t) (1 - sigmoid(t)) / n and the weighted products with the
@@ -422,10 +414,6 @@ class QuadraticProblem:
         _check_dim(x, self.dimension)
         return self.matrix @ x - self.linear
 
-    def hvp(self, x: Vector, v: Vector) -> Vector:
-        _check_dim(v, self.dimension, "v")
-        return self.hvp_batch(x, v[None])[0]
-
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         _check_dim(x, self.dimension)
         _check_batch(V, self.dimension)
@@ -462,10 +450,6 @@ class CountingOracle:
     def gradient(self, x: Vector) -> Vector:
         self.n_grad += 1
         return self.problem.gradient(x)
-
-    def hvp(self, x: Vector, v: Vector) -> Vector:
-        self.n_hvp += 1
-        return self.problem.hvp(x, v)
 
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         self.n_hvp += V.shape[0]

@@ -93,10 +93,9 @@ class AdaptiveParams:
 class StepResult:
     """Outcome of one engine iteration.
 
-    ``f_next``/``g_next``/``dual_norm_next`` carry evaluations the acceptance
-    loop already paid for, so the driver never re-evaluates them. ``cap_hit``
-    marks a step taken despite the acceptance test still failing at the
-    inner-loop cap.
+    ``f_next``/``g_next`` carry evaluations the acceptance loop already paid
+    for, so the driver never re-evaluates them. ``cap_hit`` marks a step taken
+    despite the acceptance test still failing at the inner-loop cap.
     """
 
     x_next: Vector
@@ -107,7 +106,6 @@ class StepResult:
     cap_hit: bool = False
     f_next: float | None = None
     g_next: Vector | None = field(default=None, repr=False)
-    dual_norm_next: float | None = None
 
 
 def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
@@ -254,13 +252,12 @@ def adaptive_iteration(
         x_next = x_k - eta * hg
         f_next: float | None = None
         g_next: Vector | None = None
-        gdual_next: float | None = None
         if params.mode == MODE_REG:
             f_next = oracle.value(x_next)
             rejected = check_reg(f_k, f_next, eta, gdual, params.cubic, alpha)
         else:
             g_next = oracle.gradient(x_next)
-            rejected, gdual_next = check_dual(
+            rejected, _ = check_dual(
                 g_next, x_k, x_next, operator, alpha, params.cubic, params.grad_tol
             )
         if not rejected or inner >= params.max_inner:
@@ -276,7 +273,6 @@ def adaptive_iteration(
         cap_hit=rejected,
         f_next=f_next,
         g_next=g_next,
-        dual_norm_next=gdual_next,
     )
     return result, alpha * params.gamma_dec
 

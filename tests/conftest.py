@@ -48,9 +48,6 @@ class AffinePullback:
     def gradient(self, x):
         return self.a.T @ self.problem.gradient(self.a @ x)
 
-    def hvp(self, x, v):
-        return self.a.T @ self.problem.hvp(self.a @ x, self.a @ v)
-
     def hvp_batch(self, x, V):
         return self.problem.hvp_batch(self.a @ x, V @ self.a.T) @ self.a
 

@@ -31,6 +31,7 @@ from ceqn.steps import (
     adaptive_iteration,
     ceqn_step,
     ceqn_stepsize,
+    dual_norm,
 )
 
 from conftest import (
@@ -63,7 +64,7 @@ def test_criterion_01_oracle_correctness():
             violations.append(("grad", trial))
         v = rng.normal(size=10)
         h = 1e-6
-        hv = prob.hvp(x, v)
+        hv = prob.hvp_batch(x, v[None])[0]
         fd_hv = (prob.gradient(x + h * v) - prob.gradient(x - h * v)) / (2.0 * h)
         if np.linalg.norm(hv - fd_hv) > 1e-6 * (1.0 + np.linalg.norm(hv)):
             violations.append(("hvp", trial))
@@ -155,8 +156,9 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
         guarded = (
             res.g_next is not None and float(res.g_next @ res.g_next) <= params.grad_tol
         )
-        if not res.cap_hit and not guarded and res.dual_norm_next is not None:
-            gdn = res.dual_norm_next
+        if not res.cap_hit and not guarded:
+            # the dual norm the acceptance test took at the accepted point
+            gdn, _ = dual_norm(operator, res.g_next)
             bound = min(
                 gdn**2 / (4.0 * res.alpha_used),
                 gdn**1.5 / math.sqrt(6.0 * (1.0 + res.alpha_used) ** 1.5 * params.cubic),

@@ -313,6 +313,18 @@ class TestCompare:
         saved = json.loads((tmp_path / "cmp.json").read_text())
         assert {m["method"] for m in saved["methods"]} == {"FIXED", "CEQN"}
 
+    def test_truncated_trace_row_is_usage_error(self, fixed_config, tmp_path, capsys):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(fixed_config), "--out", str(out), "--run-id", "one"])
+        trace = out / "one" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["compare", str(out), str(out)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_trace_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()

@@ -488,6 +488,26 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(io.StringIO("iter,f\n"))
 
+    def test_header_text_is_pinned(self):
+        # the columns are TraceRecord's fields in declaration order
+        assert TRACE_HEADER == (
+            "iter,wall_seconds,f,grad_norm_sq,grad_dual_norm,eta,alpha,"
+            "inner_count,skipped_pairs,fallback,n_value,n_grad,n_hvp"
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.rsplit(",", 1)[0],  # a field missing
+        lambda row: row + ",7",  # a field extra
+    ], ids=["missing-field", "extra-field"])
+    def test_row_with_wrong_field_count_names_its_line(self, edit):
+        sink = io.StringIO()
+        write_trace_csv(small_run_result(3), sink)
+        header, first, second, third = sink.getvalue().splitlines()
+        # the blank line counts: the bad row is line 4 of the file
+        text = "\n".join([header, first, "", edit(second), third]) + "\n"
+        with pytest.raises(ValueError, match="line 4: 1[24] fields, expected 13"):
+            read_trace_csv(io.StringIO(text))
+
 
 # finite floats, with both zeros and subnormals drawn often
 EXACT_FLOATS = st.one_of(

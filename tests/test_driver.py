@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ceqn.data_io import parse_libsvm
 from ceqn.driver import (
     NumericalFailureError,
     SolverConfig,
@@ -11,10 +12,10 @@ from ceqn.driver import (
     run_solver,
 )
 from ceqn.hessian import ApproxConfig
-from ceqn.problems import QuadraticProblem, tridiagonal_quadratic
+from ceqn.problems import LogisticProblem, QuadraticProblem, tridiagonal_quadratic
 from ceqn.steps import AdaptiveParams, CeqnParams
 
-from conftest import random_logistic, random_spd
+from conftest import FIXTURE_LIBSVM, random_logistic, random_spd
 
 
 def exact_newton_config(**kwargs):
@@ -100,6 +101,25 @@ class TestRunSolver:
         assert result.termination == "NUMERICAL_FAILURE"
         assert len(result.trace) >= 1
 
+    def test_gradient_overflowing_its_square_is_a_numerical_failure(self):
+        # on the fixture this run's gradient grows past 1e154 before it stops
+        # being finite, so its squared norm overflows; the suite turns the
+        # overflow warning into an error
+        dataset = parse_libsvm(FIXTURE_LIBSVM)
+        prob = LogisticProblem(dataset.design, dataset.labels, mu=1e-4)
+        cfg = SolverConfig(
+            method="FIXED",
+            approx=ApproxConfig(kind="LSR1", h0_scale=1.0),
+            fixed_l=1e-12,
+            max_iters=200,
+        )
+        with pytest.raises(NumericalFailureError) as excinfo:
+            run_solver(prob, cfg)
+        result = excinfo.value.result
+        assert result.termination == "NUMERICAL_FAILURE"
+        assert result.grad_norm_sq_final == math.inf
+        assert len(result.trace) >= 1
+
     def test_stationary_safeguard_on_underflowing_step(self):
         prob = tridiagonal_quadratic(3)
         cfg = SolverConfig(
@@ -122,9 +142,6 @@ class TestRunSolver:
 
             def gradient(self, x):
                 return -x
-
-            def hvp(self, x, v):
-                return -v
 
             def hvp_batch(self, x, V):
                 return -V

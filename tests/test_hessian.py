@@ -270,7 +270,7 @@ class TestPairSources:
         buf = PairBuffer(1, 5)
         buf.push(x1 - x0, prob.gradient(x1) - prob.gradient(x0))
         s, y = newest(buf)
-        np.testing.assert_allclose(y, prob.hvp(x0, s), rtol=1e-12)
+        np.testing.assert_allclose(y, prob.hvp_batch(x0, s[None])[0], rtol=1e-12)
 
     def test_sampling_is_deterministic(self, rng):
         a = random_spd(rng, 4)
@@ -293,7 +293,7 @@ class TestPairSources:
         assert oracle.n_hvp == 10 and len(pairs) == 10
 
     def test_sampling_matches_per_probe_loop(self, rng):
-        # the reference is the per-probe loop: push(d, hvp(x, d)) per row
+        # the reference is the per-probe loop: push(d, H(x) d) per row, one row per batch
         prob = random_logistic(rng, n=60, d=12)
         x = rng.normal(size=12)
         for m in (1, 4, 10):
@@ -301,7 +301,7 @@ class TestPairSources:
             batched = np.random.default_rng(m)
             pairs = sample_pairs(oracle, x, m, batched)
             loop = np.random.default_rng(m)
-            expected = buffer_of(12, [(d, prob.hvp(x, d)) for d in loop.standard_normal((m, 12))])
+            expected = buffer_of(12, [(d, prob.hvp_batch(x, d[None])[0]) for d in loop.standard_normal((m, 12))])
             np.testing.assert_array_equal(pairs.rows, expected.rows)
             np.testing.assert_array_equal(pairs.order(), expected.order())
             assert oracle.n_hvp == m

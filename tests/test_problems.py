@@ -79,19 +79,19 @@ class TestLogisticGradient:
 class TestLogisticHvp:
     def test_zero_vector_maps_to_zero(self, rng):
         prob = random_logistic(rng)
-        np.testing.assert_array_equal(prob.hvp(rng.normal(size=10), np.zeros(10)), 0.0)
+        np.testing.assert_array_equal(prob.hvp_batch(rng.normal(size=10), np.zeros((1, 10)))[0], 0.0)
 
     def test_zero_design_reduces_to_regularizer(self):
         prob = LogisticProblem(sp.csr_matrix((2, 3)), [1, -1], mu=1e-4)
         v = np.array([1.0, 2.0, -1.0])
-        np.testing.assert_allclose(prob.hvp(np.zeros(3), v), 1e-4 * v)
+        np.testing.assert_allclose(prob.hvp_batch(np.zeros(3), v[None])[0], 1e-4 * v)
 
     def test_matches_directional_gradient_differences(self, rng):
         prob = random_logistic(rng, n=50, d=10)
         x, v = rng.normal(size=10), rng.normal(size=10)
         h = 1e-6
         fd = (prob.gradient(x + h * v) - prob.gradient(x - h * v)) / (2.0 * h)
-        hv = prob.hvp(x, v)
+        hv = prob.hvp_batch(x, v[None])[0]
         assert np.linalg.norm(hv - fd) <= 1e-6 * (1.0 + np.linalg.norm(hv))
 
     def test_label_sign_does_not_affect_weights(self, rng):
@@ -99,7 +99,7 @@ class TestLogisticHvp:
         flipped = LogisticProblem(design, -np.ones(20), mu=0.0)
         original = LogisticProblem(design, np.ones(20), mu=0.0)
         x, v = rng.normal(size=5), rng.normal(size=5)
-        np.testing.assert_allclose(flipped.hvp(x, v), original.hvp(x, v))
+        np.testing.assert_allclose(flipped.hvp_batch(x, v[None]), original.hvp_batch(x, v[None]))
 
 
 def masked_log1p_exp_neg(t):
@@ -194,7 +194,7 @@ class TestHvpBatch:
                 V[-1] = 0.0
             expected = np.array([reference_hvp(prob, x, v) for v in V])
             np.testing.assert_array_equal(prob.hvp_batch(x, V), expected)
-            np.testing.assert_array_equal(prob.hvp(x, V[0]), expected[0])
+            np.testing.assert_array_equal(prob.hvp_batch(x, V[:1])[0], expected[0])
 
     def test_quadratic_rows_equal_single_vector_loop(self, rng):
         for d in (1, 4, 17):
@@ -203,7 +203,7 @@ class TestHvpBatch:
             expected = np.array([prob.matrix @ v for v in V])
             # a stack of matrix-vector products: equal bit for bit
             np.testing.assert_array_equal(prob.hvp_batch(x, V), expected)
-            np.testing.assert_array_equal(prob.hvp(x, V[0]), expected[0])
+            np.testing.assert_array_equal(prob.hvp_batch(x, V[:1])[0], expected[0])
 
     def test_counting_oracle_counts_each_direction(self, rng):
         oracle = CountingOracle(random_logistic(rng))
@@ -474,7 +474,7 @@ class TestBlockedKernels:
             got = np.float64(prob.value(x)), prob.gradient(x), prob.hvp_batch(x, V)
             for a, b in zip(got, expected):
                 assert same_bits(a, b)
-            assert same_bits(prob.hvp(x, V[0]), expected[2][0])
+            assert same_bits(prob.hvp_batch(x, V[:1])[0], expected[2][0])
 
     @settings(max_examples=100)
     @given(
@@ -482,7 +482,7 @@ class TestBlockedKernels:
         st.sampled_from([1, 2, 3]),
         st.lists(st.sampled_from(["normal", "1e3", "+0", "-0", "nan"]), min_size=2, max_size=3),
         st.lists(
-            st.tuples(st.sampled_from(["value", "gradient", "hvp_batch", "hvp"]), st.integers(0, 2)),
+            st.tuples(st.sampled_from(["value", "gradient", "hvp_batch", "one_row"]), st.integers(0, 2)),
             min_size=1, max_size=12,
         ),
         st.randoms(use_true_random=False),
@@ -512,7 +512,7 @@ class TestBlockedKernels:
             elif name == "hvp_batch":
                 assert same_bits(prob.hvp_batch(x, V), hvps)
             else:
-                assert same_bits(prob.hvp(x, V[1]), hvps[1])
+                assert same_bits(prob.hvp_batch(x, V[1:2])[0], hvps[1])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
@@ -562,7 +562,7 @@ class TestQuadratic:
         prob = QuadraticProblem(a, np.zeros(5))
         v = rng.normal(size=5)
         expected = np.array([float(a[i] @ v) for i in range(5)])
-        np.testing.assert_allclose(prob.hvp(rng.normal(size=5), v), expected, rtol=1e-12)
+        np.testing.assert_allclose(prob.hvp_batch(rng.normal(size=5), v[None])[0], expected, rtol=1e-12)
 
     def test_rejects_asymmetric_matrix(self):
         a = np.array([[1.0, 0.5], [0.2, 1.0]])
@@ -612,8 +612,8 @@ class TestInvariants:
         x = rng.normal(size=12)
         for _ in range(10):
             u, v = rng.normal(size=12), rng.normal(size=12)
-            left = float(prob.hvp(x, u) @ v)
-            right = float(u @ prob.hvp(x, v))
+            left = float(prob.hvp_batch(x, u[None])[0] @ v)
+            right = float(u @ prob.hvp_batch(x, v[None])[0])
             assert abs(left - right) <= 1e-10 * (1.0 + abs(left))
 
     def test_convexity_witness(self, rng):
@@ -622,7 +622,7 @@ class TestInvariants:
         x = rng.normal(size=12)
         for _ in range(10):
             v = rng.normal(size=12)
-            assert float(prob.hvp(x, v) @ v) >= mu * float(v @ v) - 1e-12
+            assert float(prob.hvp_batch(x, v[None])[0] @ v) >= mu * float(v @ v) - 1e-12
 
     def test_counters_increment_once_per_call(self, rng):
         oracle = CountingOracle(random_logistic(rng))
@@ -630,7 +630,7 @@ class TestInvariants:
         oracle.value(x)
         oracle.value(x)
         oracle.gradient(x)
-        oracle.hvp(x, x)
+        oracle.hvp_batch(x, x[None])
         assert (oracle.n_value, oracle.n_grad, oracle.n_hvp) == (2, 1, 1)
 
 
@@ -642,7 +642,7 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             prob.gradient(np.zeros(11))
         with pytest.raises(DimensionMismatchError):
-            prob.hvp(np.zeros(10), np.zeros(9))
+            prob.hvp_batch(np.zeros(10), np.zeros((1, 9)))
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):

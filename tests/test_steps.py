@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ceqn.hessian import DenseInverseOperator, ScaledIdentityOperator
+from ceqn.hessian import (
+    ApproxConfig,
+    DenseInverseOperator,
+    PairBuffer,
+    ScaledIdentityOperator,
+    rebuild_operator,
+)
 from ceqn.problems import CountingOracle, QuadraticProblem
 from ceqn.steps import (
     AdaptiveParams,
@@ -115,6 +121,78 @@ class TestStepsizeProperties:
         assert 0.0 < eta_high <= eta_low <= 1.0 / (1.0 + alpha)
 
 
+class TestAcceptanceAtLargeAlpha:
+    """REG and DUAL accept once alpha is large enough, so the inner loop ends.
+
+    Write c = 1 + alpha, p = H g and gd^2 = g^T p for a positive-definite H
+    with largest eigenvalue lam, r = ||p||^2 / gd^2 <= lam, L for ``cubic``
+    and M = ||A||_2^2 / (4n) + mu for the largest Hessian eigenvalue of the
+    logistic objective. The stepsize obeys 1 / (c (1 + sqrt(L gd) / (2 c^{1/4})))
+    <= eta <= 1/c.
+
+    REG: the descent lemma gives f(x - eta p) <= f - eta gd^2 + M/2 eta^2 ||p||^2,
+    so the test passes when M ||p||^2 / c + L gd^3 / (3 sqrt c) <= gd^2; each
+    term is at most half of that once c >= c_reg = max(2 M r, (2 L gd / 3)^2).
+
+    DUAL: with g+ = g - eta B p and 0 <= B <= M, <g+, p> >= gd^2 (1 - eta M r)
+    and ||g+||_*^2 <= gd^2 (1 + eta^2 lam M^2 r). Once c >= c_dual =
+    max(6, 4 M r, M sqrt(lam r), 16 L^2 gd^2), eta >= 1 / (1.25 c), so
+    <g+, x - x+> >= 0.6 gd^2 / c > gd^2 / (2 alpha) >= the threshold.
+
+    Doubling from alpha0 passes 2 c_* after at most ceil(log2(2 c_* / alpha0))
+    doublings: that is the bound asserted. The factor 2 leaves rounding
+    room: REG's f(x+) then lies at least 0.2 eta gd^2 below the required
+    value. On 400 draws from these ranges the bound reached 44 doublings
+    for REG and 49 for DUAL, and the loop needed at most 33 and 22.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        operator_kind=st.sampled_from(["identity", "lbfgs"]),
+        log_scale=st.floats(-4.0, 4.0),
+        log_cubic=st.floats(-4.0, 4.0),
+        log_mu=st.floats(-6.0, 0.0),
+    )
+    def test_accepts_within_the_doublings_bound(
+        self, seed, operator_kind, log_scale, log_cubic, log_mu
+    ):
+        rng = np.random.default_rng(seed)
+        n, d, alpha0 = 40, 8, 1e-3
+        mu, cubic, scale = 10.0**log_mu, 10.0**log_cubic, 10.0**log_scale
+        prob = random_logistic(rng, n=n, d=d, mu=mu)
+        x = rng.normal(size=d)
+        if operator_kind == "identity":
+            op = ScaledIdentityOperator(scale)
+        else:
+            # curvature pairs of a positive-definite B / scale: H is positive definite
+            b = random_spd(rng, d) / scale
+            pairs = PairBuffer(5, d)
+            for s in rng.normal(size=(5, d)):
+                pairs.push(s, b @ s)
+            op = rebuild_operator(ApproxConfig(kind="LBFGS", h0_scale=scale, memory=5), pairs)
+        h = np.array([op.apply(e) for e in np.eye(d)])
+        lam = float(np.linalg.eigvalsh(0.5 * (h + h.T)).max())
+        m = np.linalg.norm(prob.design.toarray(), 2) ** 2 / (4 * n) + mu
+        g = prob.gradient(x)
+        gd, p = dual_norm(op, g)
+        r = float(p @ p) / gd**2
+        c_star = {
+            "REG": max(2 * m * r, (2 * cubic * gd / 3) ** 2),
+            "DUAL": max(6.0, 4 * m * r, m * math.sqrt(lam * r), 16 * cubic**2 * gd**2),
+        }
+        for mode, c in c_star.items():
+            bound = max(0, math.ceil(math.log2(2 * c / alpha0)))
+            params = AdaptiveParams(
+                cubic=cubic, alpha0=alpha0, gamma_inc=2.0, mode=mode, max_inner=max(bound, 1)
+            )
+            oracle = CountingOracle(prob)
+            res, _ = adaptive_iteration(
+                params, oracle, op, x, g, oracle.value(x), alpha0
+            )
+            assert not res.cap_hit, (mode, bound)
+            assert res.inner_count <= bound
+
+
 class TestCeqnStep:
     def test_null_gradient_is_fixed_point(self, rng):
         prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
@@ -139,7 +217,7 @@ class TestCeqnStep:
         op = DenseInverseOperator(oracle, x)
         res = ceqn_step(CeqnParams(theta=1.1, cubic=1.0), oracle, op, x, g)
         h = res.x_next - x
-        step_norm = math.sqrt(float(h @ prob.hvp(x, h)))
+        step_norm = math.sqrt(float(h @ prob.hvp_batch(x, h[None])[0]))
         assert abs(step_norm - res.eta * res.dual_norm_before) <= 1e-10
 
 
@@ -288,8 +366,8 @@ class TestAdaptiveIteration:
             def gradient(self, x):
                 return np.array([1.0, 0.0])
 
-            def hvp(self, x, v):
-                return v
+            def hvp_batch(self, x, V):
+                return V
 
         oracle = CountingOracle(Flat())
         x = np.zeros(2)
