@@ -35,7 +35,6 @@ from .problems import (
     LogisticProblem,
     ProblemOracle,
     QuadraticProblem,
-    finite_diff_gradient,
     tridiagonal_quadratic,
 )
 from .steps import (

@@ -27,7 +27,7 @@ from .data_io import (
     write_summary_json,
     write_trace_csv,
 )
-from .driver import NumericalFailureError, run_solver
+from .driver import TERM_NUMERICAL_FAILURE, NumericalFailureError, run_solver
 
 GRID_PRESETS: dict[str, list[float]] = {
     # log-spaced decades with 3.16 (~10^0.5) midpoints
@@ -94,7 +94,7 @@ def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
         # the summary keys of a run that left no summary
         return row | dict.fromkeys(_SUMMARY_ROW_KEYS) | {"seed": spec["seed"], "iterations": 0}
     write_trace_csv(result, out_dir / "trace.csv")
-    summary = write_summary_json(result, out_dir / "summary.json", dataset_info)
+    summary = write_summary_json(result, out_dir / "summary.json", spec.values, dataset_info)
     return row | {key: summary[key] for key in _SUMMARY_ROW_KEYS}
 
 
@@ -119,10 +119,35 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _median(values) -> float:
+    """Median with a missing or non-finite value counted as +inf."""
+    return statistics.median(
+        v if v is not None and math.isfinite(v) else math.inf for v in values
+    )
+
+
+def rank_groups(groups: dict) -> list[tuple[float, float, object]]:
+    """Rank groups of run rows, best first.
+
+    Each group is a list of rows with ``status``, ``final_f`` and
+    ``final_grad_norm_sq``, and is scored by (median final f, median final
+    squared gradient norm, key); ties go to the smaller key. A value that is
+    missing or non-finite, or belongs to a run whose status is not ``ok``,
+    counts as +inf.
+    """
+
+    def med(rows, key):
+        return _median(row[key] if row["status"] == "ok" else None for row in rows)
+
+    return sorted(
+        (med(rows, "final_f"), med(rows, "final_grad_norm_sq"), key)
+        for key, rows in groups.items()
+    )
+
+
 def select_winner(rows: list[dict], parameter: str) -> dict | None:
-    """Pick the grid winner from summary rows: lowest median final f,
-    ties broken by lower median final squared gradient norm, then by the
-    smaller parameter value. Failed runs count as +inf; runs that raised
+    """Pick the grid winner from summary rows by ``rank_groups`` over the
+    parameter's values, so ties go to the smaller value. Runs that raised
     (status ``error``) left no result and are skipped. Pure function of the
     rows, so re-running selection on saved artifacts reproduces the winner.
     """
@@ -132,21 +157,7 @@ def select_winner(rows: list[dict], parameter: str) -> dict | None:
             by_value.setdefault(row[parameter], []).append(row)
     if not by_value:
         return None
-
-    def med(entries, key):
-        vals = [
-            e[key] if e["status"] == "ok" and e[key] is not None else math.inf
-            for e in entries
-        ]
-        return statistics.median(vals)
-
-    ranked = sorted(
-        (
-            (med(entries, "final_f"), med(entries, "final_grad_norm_sq"), value)
-            for value, entries in by_value.items()
-        ),
-    )
-    best_f, best_g, best_value = ranked[0]
+    best_f, best_g, best_value = rank_groups(by_value)[0]
     if math.isinf(best_f):
         return None
     return {
@@ -226,18 +237,20 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _iterations_to_target(trace_records, summary: dict, target: float) -> float:
-    for rec in trace_records:
+def _iterations_to_target(run: dict, target: float) -> float:
+    for rec in run["trace"]:
         if rec.grad_norm_sq <= target:
             return rec.iter
-    final = summary.get("final_grad_norm_sq")
+    final = run["final_grad_norm_sq"]
     if final is not None and final <= target:
-        return summary["iterations"]
+        return run["iterations"]
     return math.inf
 
 
 def _load_run_sets(directories: list[str]) -> list[dict]:
-    entries = []
+    """Every run's summary under the directories, with its ``status``, as
+    ``_run_one`` reports it, and its trace records as ``trace``."""
+    runs = []
     for directory in directories:
         base = Path(directory)
         summaries = sorted(base.rglob("summary.json"))
@@ -249,73 +262,72 @@ def _load_run_sets(directories: list[str]) -> list[dict]:
             trace_path = summary_path.parent / "trace.csv"
             if not trace_path.exists():
                 raise FileNotFoundError(f"missing trace next to {summary_path}")
-            entries.append(
-                {
-                    "summary": summary,
-                    "trace": read_trace_csv(trace_path),
-                    "path": str(summary_path.parent),
-                }
+            failed = summary["termination"] == TERM_NUMERICAL_FAILURE
+            runs.append(
+                summary
+                | {"status": "failed" if failed else "ok", "trace": read_trace_csv(trace_path)}
             )
-    return entries
+    return runs
+
+
+def _format_setting(value) -> str:
+    if isinstance(value, float):
+        return f"{value:g}"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _config_label(configs: list[dict], chosen: dict) -> str | None:
+    """The chosen configuration's values of the keys on which the configs
+    differ, e.g. ``theta=100``; None for a single configuration."""
+    if len(configs) == 1:
+        return None
+    keys = sorted({key for config in configs for key in config})
+    differing = [
+        key for key in keys if len({json.dumps(config.get(key)) for config in configs}) > 1
+    ]
+    return ",".join(f"{key}={_format_setting(chosen.get(key))}" for key in differing)
 
 
 def build_compare_report(directories: list[str]) -> dict:
     """Aggregate run sets into one per-method comparison table.
 
-    For each method the best configuration (by median final f) is selected,
-    then its runs are aggregated across seeds by medians: final f, final
-    squared gradient norm, iterations to reach each gradient target, and the
-    extrema of the stepsize trajectory.
+    A configuration is a run's config echo without its seed. For each method
+    the configurations are ranked by ``rank_groups``, so a failed run counts
+    as +inf, and the best one's runs are aggregated across seeds by medians:
+    final f, final squared gradient norm, iterations to reach each gradient
+    target, and the extrema of the stepsize trajectory. Its label lists the
+    settings that tell it from the method's other configurations.
     """
-    entries = _load_run_sets(directories)
-    by_method: dict[str, dict[float, list[dict]]] = {}
-    for entry in entries:
-        cfg = entry["summary"]["config"]
-        method = cfg["method"]
-        by_method.setdefault(method, {}).setdefault(cfg.get("cubic"), []).append(entry)
+    by_method: dict[str, dict[str, list[dict]]] = {}
+    for run in _load_run_sets(directories):
+        config = {key: value for key, value in run["config"].items() if key != "seed"}
+        by_method.setdefault(config["method"], {}).setdefault(
+            json.dumps(config, sort_keys=True), []
+        ).append(run)
+
+    def finite(value):
+        return value if math.isfinite(value) else None
 
     methods = []
     for method, configs in sorted(by_method.items()):
-        scored = []
-        for value, runs in configs.items():
-            finals = [
-                r["summary"]["final_f"]
-                if r["summary"]["final_f"] is not None
-                else math.inf
-                for r in runs
-            ]
-            scored.append((statistics.median(finals), value, runs))
-        scored.sort(key=lambda t: (t[0], t[1] if t[1] is not None else math.inf))
-        median_f, best_value, runs = scored[0]
+        median_f, median_g, best = rank_groups(configs)[0]
+        runs = configs[best]
 
         def across(getter):
-            # non-finite per-run values (no data, divergence) sort as +inf
-            values = [v if math.isfinite(v) else math.inf for v in map(getter, runs)]
-            value = statistics.median(values)
-            return value if math.isfinite(value) else None
+            return finite(_median(map(getter, runs)))
 
         row = {
             "method": method,
-            "config": f"cubic={best_value:g}" if best_value is not None else "default",
-            "seeds": sorted({r["summary"]["seed"] for r in runs}),
+            "config": _config_label(list(map(json.loads, configs)), json.loads(best)),
+            "seeds": sorted({r["seed"] for r in runs}),
             "runs": len(runs),
-            "median_final_f": median_f if math.isfinite(median_f) else None,
-            "median_final_grad_norm_sq": across(
-                lambda r: r["summary"]["final_grad_norm_sq"]
-                if r["summary"]["final_grad_norm_sq"] is not None
-                else math.inf
-            ),
-            "eta_min": across(
-                lambda r: min((rec.eta for rec in r["trace"]), default=math.nan)
-            ),
-            "eta_max": across(
-                lambda r: max((rec.eta for rec in r["trace"]), default=math.nan)
-            ),
+            "median_final_f": finite(median_f),
+            "median_final_grad_norm_sq": finite(median_g),
+            "eta_min": across(lambda r: min((rec.eta for rec in r["trace"]), default=None)),
+            "eta_max": across(lambda r: max((rec.eta for rec in r["trace"]), default=None)),
         }
         for target in GRAD_TARGETS:
-            row[f"iters_to_{target:g}"] = across(
-                lambda r: _iterations_to_target(r["trace"], r["summary"], target)
-            )
+            row[f"iters_to_{target:g}"] = across(lambda r: _iterations_to_target(r, target))
         methods.append(row)
     return {"targets": list(GRAD_TARGETS), "methods": methods}
 

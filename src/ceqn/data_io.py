@@ -65,8 +65,15 @@ _SEPARATORS = " \t\r"
 _ALLOWED_CHARS = frozenset(_SEPARATORS + "0123456789+-.eE:")
 _ALLOWED_BYTES = "".join(sorted(_ALLOWED_CHARS)).encode("ascii") + b"\n"
 
+
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag {text!r} is not 0 or 1")
+    return text == "1"
+
+
 # a trace column is read back by the parser of its TraceRecord field's type
-_FIELD_PARSERS = {int: int, float: float, bool: lambda text: bool(int(text))}
+_FIELD_PARSERS = {int: int, float: float, bool: _parse_flag}
 _TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 _TRACE_PARSERS = tuple(
     _FIELD_PARSERS[get_type_hints(TraceRecord)[name]] for name in _TRACE_COLUMNS
@@ -384,7 +391,8 @@ def read_trace_csv(source: IO[str] | str | Path) -> list[TraceRecord]:
     """Read back a trace CSV; numeric fields round-trip exactly.
 
     Raises ValueError naming the 1-based line of a row whose field count is
-    not the header's.
+    not the header's, or of the first row of a column with a value its
+    field's parser rejects.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -392,7 +400,7 @@ def read_trace_csv(source: IO[str] | str | Path) -> list[TraceRecord]:
     lines = [line.rstrip("\n") for line in source]
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("trace CSV header missing or unexpected")
-    rows = []
+    rows, line_nos = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -402,51 +410,36 @@ def read_trace_csv(source: IO[str] | str | Path) -> list[TraceRecord]:
                 f"trace CSV line {line_no}: {len(parts)} fields, expected {len(_TRACE_COLUMNS)}"
             )
         rows.append(parts)
-    columns = [list(map(parse, texts)) for parse, texts in zip(_TRACE_PARSERS, zip(*rows))]
+        line_nos.append(line_no)
+    columns = []
+    for name, parse, texts in zip(_TRACE_COLUMNS, _TRACE_PARSERS, zip(*rows)):
+        values = []
+        try:
+            for text in texts:
+                values.append(parse(text))
+        except ValueError as exc:
+            raise ValueError(
+                f"trace CSV line {line_nos[len(values)]}: column {name!r}: {exc}"
+            ) from None
+        columns.append(values)
     return [TraceRecord(*values) for values in zip(*columns)]
 
 
-def config_to_dict(config: SolverConfig) -> dict:
-    """Flatten a SolverConfig into JSON-ready key/value pairs."""
-    out = {
-        "method": config.method,
-        "approx_kind": config.approx.kind,
-        "pair_strategy": config.approx.pair_strategy,
-        "memory": config.approx.memory,
-        "h0_scale": config.approx.h0_scale,
-        "sr1_skip_tol": config.approx.sr1_skip_tol,
-        "bfgs_curvature_tol": config.approx.bfgs_curvature_tol,
-        "max_iters": config.max_iters,
-        "grad_tol": config.grad_tol,
-        "max_seconds": None if math.isinf(config.max_seconds) else config.max_seconds,
-        "seed": config.seed,
-        "x0": config.x0 if isinstance(config.x0, str) else list(map(float, config.x0)),
-    }
-    if config.ceqn is not None:
-        out["theta"] = config.ceqn.theta
-        out["cubic"] = config.ceqn.cubic
-        out["stepsize_form"] = config.ceqn.stepsize_form
-    if config.adaptive is not None:
-        out["cubic"] = config.adaptive.cubic
-        out["alpha0"] = config.adaptive.alpha0
-        out["gamma_inc"] = config.adaptive.gamma_inc
-        out["gamma_dec"] = config.adaptive.gamma_dec
-        out["max_inner"] = config.adaptive.max_inner
-    if config.fixed_l is not None:
-        out["cubic"] = config.fixed_l
-    return out
-
-
 def write_summary_json(
-    result: RunResult, sink: IO[str] | str | Path, dataset_info: dict | None = None
+    result: RunResult,
+    sink: IO[str] | str | Path,
+    config: dict,
+    dataset_info: dict | None = None,
 ) -> dict:
     """Write a run summary: config echo, termination, finals, and totals.
 
-    Returns the summary it wrote; non-finite finals are written as null.
+    ``config`` is the run's validated flat configuration (``RunSpec.values``),
+    echoed as is, so ``validate_spec`` and ``ceqn run --config`` accept the
+    echo. Returns the summary it wrote; non-finite finals are written as null.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
-            return write_summary_json(result, fh, dataset_info)
+            return write_summary_json(result, fh, config, dataset_info)
     f_final = result.f_final if math.isfinite(result.f_final) else None
     gns_final = (
         result.grad_norm_sq_final
@@ -454,7 +447,7 @@ def write_summary_json(
         else None
     )
     summary = {
-        "config": config_to_dict(result.config),
+        "config": config,
         "seed": result.seed,
         "termination": result.termination,
         "iterations": len(result.trace),
@@ -527,33 +520,32 @@ class RunSpec:
         v = self.values
         approx = ApproxConfig(
             memory=v["memory"],
-            h0_scale=float(v["h0_scale"]),
+            h0_scale=v["h0_scale"],
             kind=v["approx_kind"],
             pair_strategy=v["pair_strategy"],
-            sr1_skip_tol=float(v["sr1_skip_tol"]),
-            bfgs_curvature_tol=float(v["bfgs_curvature_tol"]),
+            sr1_skip_tol=v["sr1_skip_tol"],
+            bfgs_curvature_tol=v["bfgs_curvature_tol"],
         )
         method = v["method"]
         ceqn = adaptive = fixed_l = None
         if method == METHOD_CEQN:
             ceqn = CeqnParams(
-                theta=float(v["theta"]),
-                cubic=float(v.get("cubic", 0.0)),
+                theta=v["theta"],
+                cubic=v.get("cubic", 0.0),
                 stepsize_form=v["stepsize_form"],
             )
         elif method in (METHOD_ADAPTIVE_DUAL, METHOD_ADAPTIVE_REG):
             adaptive = AdaptiveParams(
-                cubic=float(v["cubic"]),
-                alpha0=float(v["alpha0"]),
-                gamma_inc=float(v["gamma_inc"]),
-                gamma_dec=float(v["gamma_dec"]),
+                cubic=v["cubic"],
+                alpha0=v["alpha0"],
+                gamma_inc=v["gamma_inc"],
+                gamma_dec=v["gamma_dec"],
                 mode="DUAL" if method == METHOD_ADAPTIVE_DUAL else "REG",
                 max_inner=v["max_inner"],
-                grad_tol=float(v["grad_tol"]),
+                grad_tol=v["grad_tol"],
             )
         else:
-            fixed_l = float(v["cubic"])
-        max_seconds = v.get("max_seconds")
+            fixed_l = v["cubic"]
         x0 = v["x0"]
         return SolverConfig(
             method=method,
@@ -562,8 +554,8 @@ class RunSpec:
             adaptive=adaptive,
             fixed_l=fixed_l,
             max_iters=v["max_iters"],
-            grad_tol=float(v["grad_tol"]),
-            max_seconds=math.inf if max_seconds is None else float(max_seconds),
+            grad_tol=v["grad_tol"],
+            max_seconds=v.get("max_seconds", math.inf),
             seed=v["seed"],
             x0=x0 if isinstance(x0, str) else np.asarray(x0, dtype=np.float64),
         )
@@ -575,14 +567,14 @@ class RunSpec:
             return tridiagonal_quadratic(dim), {"name": f"quadratic-{dim}", "n": dim, "d": dim}
         path = resolve_dataset_path(self.values["dataset"])
         dataset = parse_libsvm(path, dimension=self.values.get("dimension"))
-        problem = LogisticProblem(dataset.design, dataset.labels, float(self.values["mu"]))
+        problem = LogisticProblem(dataset.design, dataset.labels, self.values["mu"])
         info = {
             "name": dataset.name,
             "path": str(path),
             "n": dataset.n,
             "d": dataset.d,
             "nnz": dataset.nnz,
-            "mu": float(self.values["mu"]),
+            "mu": self.values["mu"],
         }
         return problem, info
 
@@ -611,11 +603,11 @@ def validate_spec(values: dict) -> RunSpec:
                 f"key {key!r} expects {names}, got {type(value).__name__} ({value!r})"
             )
     merged = {}
-    for key, (_, default) in _SPEC_SCHEMA.items():
-        if key in values:
-            merged[key] = values[key]
-        elif default is not None:
-            merged[key] = default
+    for key, (allowed, default) in _SPEC_SCHEMA.items():
+        value = values.get(key, default)
+        if value is not None:
+            # a key that takes a float holds one, so equal settings echo alike
+            merged[key] = float(value) if float in allowed else value
     if "method" not in merged:
         raise ConfigError("missing required key 'method'")
     if merged["method"] not in METHODS:

@@ -15,6 +15,7 @@ stepsize engines, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +167,9 @@ def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOper
     Pair i contributes v_i v_i^T / (v_i^T y_i) with v_i = s_i - H_{i-1} y_i,
     H_{i-1} being the operator built from the pairs kept before it. A pair is
     skipped when s_i or y_i vanishes, or when |v_i^T y_i| <= skip_tol ||v_i||
-    ||y_i||, the standard SR1 safeguard against a vanishing denominator. The
-    kept v_i are the rows of U and M = diag(1 / v_i^T y_i).
+    ||y_i||, the standard SR1 safeguard against a vanishing denominator, or
+    when its weight 1 / v_i^T y_i is not finite. The kept v_i are the rows of
+    U and M = diag(1 / v_i^T y_i), so U and M are finite.
     """
     n = len(pairs)
     v = np.empty((n, pairs.dimension))
@@ -184,8 +186,11 @@ def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOper
         vty = float(v[k] @ y)
         if abs(vty) <= skip_tol * np.linalg.norm(v[k]) * np.linalg.norm(y):
             continue
+        # a subnormal v^T y has no finite weight, and a v that overflowed
+        # has no finite v^T y: either would put inf or NaN into U or M
         inv_vty[k] = 1.0 / vty
-        k += 1
+        if math.isfinite(vty) and math.isfinite(inv_vty[k]):
+            k += 1
     return LowRankOperator(scale, v[:k], np.diag(inv_vty[:k]), n - k, n > 0 and k == 0)
 
 

@@ -456,23 +456,6 @@ class CountingOracle:
         return self.problem.hvp_batch(x, V)
 
 
-def finite_diff_gradient(oracle: ProblemOracle, x: Vector, h: float = 1e-6) -> Vector:
-    """Central-difference gradient, (f(x + h e_j) - f(x - h e_j)) / (2h).
-
-    Independent check for analytic gradients; costs 2d value evaluations.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    d = oracle.dimension
-    _check_dim(x, d)
-    out = np.empty(d)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        out[j] = (oracle.value(x + e) - oracle.value(x - e)) / (2.0 * h)
-    return out
-
-
 def tridiagonal_quadratic(dimension: int) -> QuadraticProblem:
     """Deterministic well-conditioned quadratic: A = I + second-difference, b = 1.
 

@@ -113,12 +113,13 @@ def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
 
     Exactly one operator application; the returned H g doubles as the step
     direction. Raises IndefiniteOperatorError when the quadratic form is not
-    safely positive for a nonzero gradient.
+    safely positive and finite for a nonzero gradient.
     """
     hg = operator.apply(g)
     gg = float(g @ g)
     ghg = float(g @ hg)
-    if gg > 0.0 and ghg <= 1e-14 * gg:
+    # written so that a NaN quadratic form also fails the test
+    if gg > 0.0 and not 1e-14 * gg < ghg < math.inf:
         raise IndefiniteOperatorError(
             f"g^T H g = {ghg:.3e} with ||g||^2 = {gg:.3e}"
         )

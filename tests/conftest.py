@@ -29,6 +29,22 @@ def random_logistic(rng, n=50, d=10, mu=1e-4, density=0.4):
     return LogisticProblem(design, labels, mu)
 
 
+def finite_diff_gradient(oracle, x, h=1e-6):
+    """Central-difference gradient, (f(x + h e_j) - f(x - h e_j)) / (2h).
+
+    Independent check for analytic gradients; costs 2d value evaluations.
+    """
+    if h <= 0:
+        raise ValueError(f"step must be positive, got {h}")
+    d = oracle.dimension
+    out = np.empty(d)
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        out[j] = (oracle.value(x + e) - oracle.value(x - e)) / (2.0 * h)
+    return out
+
+
 def random_spd(rng, d, eig_low=0.5, eig_high=3.0):
     q = np.linalg.qr(rng.normal(size=(d, d)))[0]
     return q @ np.diag(np.linspace(eig_low, eig_high, d)) @ q.T

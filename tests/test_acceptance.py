@@ -23,7 +23,7 @@ from ceqn.hessian import (
     rebuild_operator,
     sample_pairs,
 )
-from ceqn.problems import CountingOracle, QuadraticProblem, finite_diff_gradient
+from ceqn.problems import CountingOracle, QuadraticProblem
 from ceqn.steps import (
     AdaptiveParams,
     CeqnParams,
@@ -40,6 +40,7 @@ from conftest import (
     FIXTURE_LIBSVM,
     FIXTURE_N,
     FIXTURE_NNZ,
+    finite_diff_gradient,
     random_logistic,
     random_spd,
 )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,10 +7,11 @@ from ceqn.cli import (
     GridSpec,
     build_compare_report,
     main,
+    rank_groups,
     render_compare_text,
     select_winner,
 )
-from ceqn.data_io import RunSpec, read_trace_csv
+from ceqn.data_io import RunSpec, read_trace_csv, validate_spec
 from ceqn.driver import run_solver
 
 from conftest import FIXTURE_LIBSVM
@@ -103,6 +105,33 @@ class TestRun:
         assert code == 1
         summary = json.loads((out / "boom" / "summary.json").read_text())
         assert summary["termination"] == "NUMERICAL_FAILURE"
+
+
+    def test_summary_config_reproduces_the_run(
+        self, fixed_config, quadratic_config, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(quadratic_config), "--out", str(out / "run")]) == 0
+        assert main([
+            "grid", "--config", str(fixed_config), "--out", str(out / "grid"),
+            "--values", "3.16,10", "--seeds", "0,1",
+        ]) == 0
+        summaries = sorted(out.rglob("summary.json"))
+        assert len(summaries) == 5
+        for i, path in enumerate(summaries):
+            summary = json.loads(path.read_text())
+            validate_spec(summary["config"])
+            echo = tmp_path / f"echo{i}.json"
+            echo.write_text(json.dumps(summary["config"]))
+            again = tmp_path / "again" / str(i)
+            code = main(["run", "--config", str(echo), "--out", str(again.parent), "--run-id", str(i)])
+            assert code == 0
+            assert strip_wall_seconds((again / "trace.csv").read_text()) == strip_wall_seconds(
+                (path.parent / "trace.csv").read_text()
+            )
+            rerun = json.loads((again / "summary.json").read_text())
+            del summary["wall_seconds"], rerun["wall_seconds"]
+            assert rerun == summary
 
 
 class TestGrid:
@@ -252,6 +281,34 @@ class TestGrid:
         assert code == 0
         assert len(calls) == 1
 
+    def test_summaries_hold_the_entries_the_benchmark_reads(self, tmp_path, capsys):
+        # bench/workloads.py and acceptance criterion 9 read these entries
+        config = tmp_path / "reg.json"
+        config.write_text(json.dumps({
+            "method": "ADAPTIVE_REG",
+            "dataset": str(FIXTURE_LIBSVM),
+            "cubic": 1.0,
+            "max_iters": 20,
+        }))
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(config), "--out", str(out),
+            "--values", "0.1,1", "--seeds", "0,1",
+        ])
+        assert code == 0
+        summaries = sorted(out.rglob("summary.json"))
+        assert len(summaries) == 4
+        for path in summaries:
+            summary = json.loads(path.read_text())
+            assert isinstance(summary["config"]["max_inner"], int)
+            assert isinstance(summary["config"]["alpha0"], float)
+            assert isinstance(summary["seed"], int)
+            assert isinstance(summary["termination"], str)
+            assert isinstance(summary["wall_seconds"], float)
+            assert {"n_value", "n_grad", "n_hvp"} <= set(summary["evaluations"])
+            assert isinstance(summary["final_grad_norm_sq"], float)
+            assert isinstance(summary["final_alpha"], float)
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec("cubic", [])
@@ -296,6 +353,65 @@ class TestCompare:
         assert len(report["methods"]) == 1
         text = render_compare_text(report)
         assert "FIXED" in text
+
+    def test_theta_sweep_is_ranked_per_configuration(self, fixed_config, tmp_path, capsys):
+        config = tmp_path / "ceqn.json"
+        config.write_text(json.dumps({
+            "method": "CEQN",
+            "dataset": str(FIXTURE_LIBSVM),
+            "cubic": 1.0,
+            "approx_kind": "LSR1",
+            "pair_strategy": "SAMPLED",
+            "h0_scale": 1e-2,
+            "max_iters": 60,
+        }))
+        grid, fixed = tmp_path / "grid", tmp_path / "fixed"
+        assert main([
+            "grid", "--config", str(config), "--out", str(grid),
+            "--param", "theta", "--values", "0.01,1,100", "--seeds", "0,1",
+        ]) == 0
+        assert main(["run", "--config", str(fixed_config), "--out", str(fixed)]) == 0
+        winner = json.loads((grid / "grid-report.json").read_text())["winner"]
+        rows = {m["method"]: m for m in build_compare_report([str(grid), str(fixed)])["methods"]}
+        ceqn = rows["CEQN"]
+        assert ceqn["config"] == "theta=100" == f"theta={winner['value']:g}"
+        assert ceqn["runs"] == 2 and ceqn["seeds"] == [0, 1]
+        assert ceqn["median_final_f"] == winner["median_final_f"]
+        assert ceqn["median_final_grad_norm_sq"] == winner["median_final_grad_norm_sq"]
+        assert rows["FIXED"]["config"] is None
+
+    def test_failed_and_missing_values_rank_as_inf(self):
+        def row(f, g, status="ok"):
+            return {"status": status, "final_f": f, "final_grad_norm_sq": g}
+
+        groups = {
+            "b": [row(1.0, 1e-3), row(1.0, 1e-3)],
+            "a": [row(1.0, 1e-3), row(1.0, 1e-3)],
+            # one run of three is finite and ok
+            "c": [row(0.5, 1e-3), row(0.1, 1e-9, "failed"), row(None, None)],
+            "d": [row(0.9, math.nan)],
+        }
+        assert rank_groups(groups) == [
+            (0.9, math.inf, "d"),
+            (1.0, 1e-3, "a"),
+            (1.0, 1e-3, "b"),
+            (math.inf, math.inf, "c"),
+        ]
+
+    @pytest.mark.parametrize("column, bad", [("f", "x"), ("fallback", "7")])
+    def test_unparsable_trace_value_is_usage_error(self, fixed_config, tmp_path, capsys, column, bad):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(fixed_config), "--out", str(out), "--run-id", "one"])
+        trace = out / "one" / "trace.csv"
+        header, *rows = trace.read_text().splitlines()
+        fields = rows[3].split(",")
+        fields[header.split(",").index(column)] = bad
+        rows[3] = ",".join(fields)
+        trace.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        code = main(["compare", str(out), str(out)])
+        assert code == 2
+        assert f"line 5: column '{column}'" in capsys.readouterr().err
 
     def test_compare_requires_two_sets(self, tmp_path, capsys):
         code = main(["compare", str(tmp_path)])

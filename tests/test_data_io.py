@@ -508,6 +508,19 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="line 4: 1[24] fields, expected 13"):
             read_trace_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("column, bad", [("f", "x"), ("fallback", "7")])
+    def test_value_that_does_not_parse_names_its_line(self, column, bad):
+        sink = io.StringIO()
+        write_trace_csv(small_run_result(3), sink)
+        header, *rows = sink.getvalue().splitlines()
+        at = header.split(",").index(column)
+        fields = rows[1].split(",")
+        fields[at] = bad
+        rows[1] = ",".join(fields)
+        text = "\n".join([header, *rows]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3: column '{column}'"):
+            read_trace_csv(io.StringIO(text))
+
 
 # finite floats, with both zeros and subnormals drawn often
 EXACT_FLOATS = st.one_of(
@@ -576,19 +589,23 @@ class TestRoundTripProperties:
 
 class TestSummaryJson:
     def test_quadratic_one_step_summary(self, tmp_path):
-        config = SolverConfig(
-            method="CEQN",
-            approx=ApproxConfig(kind="EXACT"),
-            ceqn=CeqnParams(theta=1.0, cubic=0.0),
-            max_iters=50,
-        )
-        result = run_solver(tridiagonal_quadratic(3), config)
+        spec = validate_spec({
+            "method": "CEQN",
+            "problem": "quadratic",
+            "dimension": 3,
+            "approx_kind": "EXACT",
+            "theta": 1.0,
+            "cubic": 0.0,
+            "max_iters": 50,
+        })
+        result = run_solver(tridiagonal_quadratic(3), spec.to_solver_config())
         path = tmp_path / "summary.json"
-        write_summary_json(result, path, {"name": "quadratic-3"})
+        write_summary_json(result, path, spec.values, {"name": "quadratic-3"})
         data = json.loads(path.read_text())
         assert data["termination"] == "GRAD_TOL"
         assert data["iterations"] == 1
         assert data["config"]["method"] == "CEQN"
+        assert validate_spec(data["config"]).values == spec.values
         assert data["dataset"]["name"] == "quadratic-3"
         assert data["evaluations"]["n_value"] == result.n_value
 

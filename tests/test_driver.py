@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ceqn.data_io import parse_libsvm
 from ceqn.driver import (
@@ -165,6 +166,32 @@ class TestRunSolver:
         )
         result = run_solver(Concave(), adaptive)
         assert all(rec.fallback for rec in result.trace)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_curvature_takes_the_flagged_fallback(self):
+        """Saturated sigmoids leave only subnormal sampled curvature.
+
+        On the fixture with its first 10 columns appended again and mu = 0,
+        this CEQN run reaches an iterate where every sampled y is subnormal,
+        so every SR1 weight 1 / v^T y overflows. Such pairs are skipped, and
+        an operator with no pair is the flagged scaled identity. Every step is
+        then a finite multiple of a finite gradient, and the logistic loss and
+        its gradient are finite at every finite point, so the run cannot end
+        NUMERICAL_FAILURE: it runs to max_iters unless the gradient vanishes.
+        """
+        dataset = parse_libsvm(FIXTURE_LIBSVM)
+        design = sp.hstack([dataset.design, dataset.design[:, :10]], format="csr")
+        cfg = SolverConfig(
+            method="CEQN",
+            approx=ApproxConfig(kind="LSR1", pair_strategy="SAMPLED", h0_scale=1e-2),
+            ceqn=CeqnParams(theta=1.0, cubic=1.0),
+            max_iters=20,
+        )
+        result = run_solver(LogisticProblem(design, dataset.labels, mu=0.0), cfg)
+        assert result.termination in ("MAX_ITERS", "GRAD_TOL")
+        assert all(math.isfinite(rec.eta) for rec in result.trace)
+        # the iterate the reproduction first saturates at
+        assert result.trace[3].fallback and result.trace[3].skipped_pairs == 10
 
     def test_history_strategy_converges(self, rng):
         prob = random_logistic(rng, n=150, d=15)

@@ -138,6 +138,13 @@ class TestLsr1:
         g = rng.normal(size=5)
         np.testing.assert_array_equal(op.apply(g), c * g)
 
+    def test_pair_without_finite_weight_is_skipped(self, rng):
+        # v^T y is subnormal, so its weight 1 / v^T y overflows to inf
+        s = rng.normal(size=5)
+        op = build("LSR1", buffer_of(5, [(s, np.full(5, 1e-320))]), 1e-2)
+        assert op.fallback and op.skipped == 1
+        assert op.u.shape == (0, 5) and op.m.shape == (0, 0)
+
     def test_degenerate_pairs_never_produce_nan(self, rng):
         pairs = buffer_of(3, [(np.zeros(3), np.zeros(3)), (rng.normal(size=3), np.zeros(3))])
         op = build("LSR1", pairs, 1.0)

@@ -20,11 +20,10 @@ from ceqn.problems import (
     _log1p_exp_neg,
     _sigmoid,
     _sigmoid_neg,
-    finite_diff_gradient,
     tridiagonal_quadratic,
 )
 
-from conftest import random_logistic, random_spd
+from conftest import finite_diff_gradient, random_logistic, random_spd
 
 
 def single_sample_problem(a, b, mu=0.0):

@@ -61,6 +61,15 @@ class TestDualNorm:
         with pytest.raises(IndefiniteOperatorError):
             dual_norm(NegatedOperator(), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_quadratic_form_raises(self, entry):
+        class NonFinite(NegatedOperator):
+            def apply(self, g):
+                return np.full_like(g, entry)
+
+        with pytest.raises(IndefiniteOperatorError):
+            dual_norm(NonFinite(), np.array([1.0, 2.0]))
+
 
 class TestCeqnStepsize:
     def test_zero_dual_norm_gives_inverse_theta_exactly(self):
