@@ -25,7 +25,6 @@ from .hessian import (
     DenseInverseOperator,
     LowRankOperator,
     PairBuffer,
-    ScaledIdentityOperator,
     rebuild_operator,
     sample_pairs,
 )

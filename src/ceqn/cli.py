@@ -24,6 +24,7 @@ from .data_io import (
     RunSpec,
     load_config,
     read_trace_csv,
+    typed_value,
     write_summary_json,
     write_trace_csv,
 )
@@ -49,16 +50,27 @@ _SUMMARY_ROW_KEYS = ("seed", "termination", "iterations", "final_f", "final_grad
 
 @dataclass
 class GridSpec:
-    """One swept parameter and its explicit value list."""
+    """One swept parameter and its explicit value list, each value typed as
+    the parameter's config key takes it."""
 
     parameter: str
-    values: list[float]
+    values: list[float | int]
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("grid must be nonempty")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("grid values must be finite")
+        self.values = [typed_value(self.parameter, v) for v in self.values]
+
+    def children(self, spec: RunSpec, seeds: list[int]) -> list[tuple[float | int, RunSpec]]:
+        """Each run's value and validated spec, values outer and seeds inner;
+        a value the config rejects raises ConfigError before any run."""
+        return [
+            (value, spec.with_overrides({self.parameter: value, "seed": seed}))
+            for value in self.values
+            for seed in seeds
+        ]
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -176,18 +188,18 @@ def run_grid(
 ) -> dict:
     """Run the grid x seeds cross product and assemble the report.
 
-    ``loaded`` is the result of ``spec.load_problem()`` when the caller has
-    already loaded it; otherwise the problem is loaded here.
+    Every child spec is validated before the first run. ``loaded`` is the
+    result of ``spec.load_problem()`` when the caller has already loaded it;
+    otherwise the problem is loaded here.
     """
+    children = grid.children(spec, seeds)
     problem, dataset_info = loaded or spec.load_problem()
     rows = []
-    for value in grid.values:
-        for seed in seeds:
-            child = spec.with_overrides({grid.parameter: value, "seed": seed})
-            run_id = f"{child['method'].lower()}-{grid.parameter}{value:g}-seed{seed}"
-            row = _run_one(child, problem, dataset_info, out_dir / run_id)
-            row[grid.parameter] = value
-            rows.append(row)
+    for value, child in children:
+        run_id = f"{child['method'].lower()}-{grid.parameter}{value:g}-seed{child['seed']}"
+        row = _run_one(child, problem, dataset_info, out_dir / run_id)
+        row[grid.parameter] = value
+        rows.append(row)
 
     winner = select_winner(rows, grid.parameter)
     report = {
@@ -219,6 +231,7 @@ def cmd_grid(args) -> int:
             values = GRID_PRESETS["a9a-grid"]
         grid = GridSpec(args.param, values)
         seeds = [int(s) for s in args.seeds.split(",") if s]
+        grid.children(spec, seeds)  # a rejected child exits 2 before any run
         loaded = spec.load_problem()
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

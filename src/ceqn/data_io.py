@@ -32,7 +32,6 @@ import scipy.sparse as sp
 
 from .driver import (
     METHOD_ADAPTIVE_DUAL,
-    METHOD_ADAPTIVE_REG,
     METHOD_CEQN,
     METHOD_FIXED,
     METHODS,
@@ -42,7 +41,7 @@ from .driver import (
 )
 from .hessian import ApproxConfig
 from .problems import LogisticProblem, QuadraticProblem, tridiagonal_quadratic
-from .steps import AdaptiveParams, CeqnParams
+from .steps import MODE_DUAL, MODE_REG, AdaptiveParams, CeqnParams
 
 DATA_DIR_ENV = "CEQN_DATA_DIR"
 
@@ -527,32 +526,28 @@ class RunSpec:
             bfgs_curvature_tol=v["bfgs_curvature_tol"],
         )
         method = v["method"]
-        ceqn = adaptive = fixed_l = None
         if method == METHOD_CEQN:
-            ceqn = CeqnParams(
+            engine = CeqnParams(
                 theta=v["theta"],
                 cubic=v.get("cubic", 0.0),
                 stepsize_form=v["stepsize_form"],
             )
-        elif method in (METHOD_ADAPTIVE_DUAL, METHOD_ADAPTIVE_REG):
-            adaptive = AdaptiveParams(
+        elif method == METHOD_FIXED:
+            engine = v["cubic"]
+        else:
+            engine = AdaptiveParams(
                 cubic=v["cubic"],
                 alpha0=v["alpha0"],
                 gamma_inc=v["gamma_inc"],
                 gamma_dec=v["gamma_dec"],
-                mode="DUAL" if method == METHOD_ADAPTIVE_DUAL else "REG",
+                mode=MODE_DUAL if method == METHOD_ADAPTIVE_DUAL else MODE_REG,
                 max_inner=v["max_inner"],
                 grad_tol=v["grad_tol"],
             )
-        else:
-            fixed_l = v["cubic"]
         x0 = v["x0"]
         return SolverConfig(
-            method=method,
+            engine=engine,
             approx=approx,
-            ceqn=ceqn,
-            adaptive=adaptive,
-            fixed_l=fixed_l,
             max_iters=v["max_iters"],
             grad_tol=v["grad_tol"],
             max_seconds=v.get("max_seconds", math.inf),
@@ -628,6 +623,19 @@ def validate_spec(values: dict) -> RunSpec:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return spec
+
+
+def typed_value(key: str, value: float) -> float | int:
+    """A number for ``key`` as the schema types it: an int for a key that
+    takes only ints, which accepts only a whole number, else a float."""
+    if key not in _SPEC_SCHEMA:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    allowed, _ = _SPEC_SCHEMA[key]
+    if float in allowed or int not in allowed:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"key {key!r} expects int, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str | Path) -> RunSpec:

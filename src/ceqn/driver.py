@@ -3,11 +3,11 @@
 One driver owns one run: it wraps the problem, which concurrent runs may
 share (its data is fixed and its margin cache is swapped whole), in a
 counting oracle, rebuilds the inverse-Hessian operator every iteration from
-sampled or historical curvature pairs, delegates the step to the configured
-engine, and records one trace row per executed iteration. Runs are
-deterministic given (problem, config): the seed feeds a private generator
-used only for direction sampling, and wall-clock time is the sole
-nondeterministic trace column.
+sampled or historical curvature pairs, delegates the step to the engine
+that the type of ``SolverConfig.engine`` names, and records one trace row
+per executed iteration. Runs are deterministic given (problem, config): the
+seed feeds a private generator used only for direction sampling, and
+wall-clock time is the sole nondeterministic trace column.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from .hessian import (
     STRATEGY_HISTORY,
     ApproxConfig,
     DenseInverseOperator,
+    LowRankOperator,
     PairBuffer,
-    ScaledIdentityOperator,
     rebuild_operator,
     sample_pairs,
 )
 from .problems import CountingOracle, ProblemOracle, Vector
 from .steps import (
-    MODE_DUAL,
-    MODE_REG,
     AdaptiveParams,
     CeqnParams,
     IndefiniteOperatorError,
@@ -59,13 +57,16 @@ X0_ZERO = "ZERO"
 
 @dataclass
 class SolverConfig:
-    """Everything one run needs; exactly one engine block matches ``method``."""
+    """Everything one run needs.
 
-    method: str
+    ``engine`` is the stepsize schedule's parameter block, and its type picks
+    the schedule: ``CeqnParams`` for the closed-form CEQN step,
+    ``AdaptiveParams`` for the adaptive loop (DUAL or REG by its ``mode``),
+    and a float ``L`` for the fixed step ``1/L``.
+    """
+
+    engine: CeqnParams | AdaptiveParams | float
     approx: ApproxConfig = field(default_factory=ApproxConfig)
-    ceqn: CeqnParams | None = None
-    adaptive: AdaptiveParams | None = None
-    fixed_l: float | None = None
     max_iters: int = 500
     grad_tol: float = 1e-12
     max_seconds: float = math.inf
@@ -73,35 +74,12 @@ class SolverConfig:
     x0: str | np.ndarray = X0_ALL_ONES
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        blocks = {
-            METHOD_CEQN: self.ceqn,
-            METHOD_ADAPTIVE_DUAL: self.adaptive,
-            METHOD_ADAPTIVE_REG: self.adaptive,
-            METHOD_FIXED: self.fixed_l,
-        }
-        if blocks[self.method] is None:
-            raise ValueError(f"method {self.method} is missing its parameter block")
-        others = [
-            name
-            for name, value in (
-                ("ceqn", self.ceqn),
-                ("adaptive", self.adaptive),
-                ("fixed_l", self.fixed_l),
-            )
-            if value is not None and value is not blocks[self.method]
-        ]
-        if others:
+        if not isinstance(self.engine, (CeqnParams, AdaptiveParams, float)):
             raise ValueError(
-                f"method {self.method} does not use parameter block(s) {others}"
+                f"engine must be CeqnParams, AdaptiveParams or a float L, got {self.engine!r}"
             )
-        if self.method == METHOD_ADAPTIVE_DUAL and self.adaptive.mode != MODE_DUAL:
-            raise ValueError("ADAPTIVE_DUAL requires adaptive mode DUAL")
-        if self.method == METHOD_ADAPTIVE_REG and self.adaptive.mode != MODE_REG:
-            raise ValueError("ADAPTIVE_REG requires adaptive mode REG")
-        if self.method == METHOD_FIXED and self.fixed_l <= 0:
-            raise ValueError(f"fixed_l must be positive, got {self.fixed_l}")
+        if isinstance(self.engine, float) and not self.engine > 0:
+            raise ValueError(f"fixed_l must be positive, got {self.engine}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.grad_tol < 0:
@@ -208,7 +186,8 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     t0 = time.perf_counter()
     trace: list[TraceRecord] = []
 
-    alpha = config.adaptive.alpha0 if config.adaptive is not None else None
+    engine = config.engine
+    alpha = engine.alpha0 if isinstance(engine, AdaptiveParams) else None
 
     def finish(termination: str, x_end: Vector, f_end: float, g_end: Vector) -> RunResult:
         # a diverged gradient may square past the float range: inf is the answer
@@ -256,7 +235,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
                 # a Hessian that is not positive definite or is singular to
                 # working precision (mu = 0 on a rank-deficient design) gets
                 # the indefinite-operator fallback
-                operator = ScaledIdentityOperator(config.approx.h0_scale)
+                operator = _fallback_operator(config, oracle.dimension)
         elif buffer is None:
             pairs = sample_pairs(oracle, x, config.approx.memory, rng)
             operator = rebuild_operator(config.approx, pairs)
@@ -265,10 +244,10 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         skipped_pairs = operator.skipped
 
         try:
-            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
+            result, alpha_next = _engine_iteration(engine, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
-            operator = ScaledIdentityOperator(config.approx.h0_scale)
-            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
+            operator = _fallback_operator(config, oracle.dimension)
+            result, alpha_next = _engine_iteration(engine, oracle, operator, x, g, f, alpha)
 
         x_next = result.x_next
         f_next = result.f_next if result.f_next is not None else oracle.value(x_next)
@@ -313,8 +292,16 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     return finish(termination, x, f, g)
 
 
+def _fallback_operator(config: SolverConfig, dimension: int) -> LowRankOperator:
+    """H0 = h0_scale * I with no rows, flagged: the step taken in place of an
+    operator that cannot be used."""
+    return LowRankOperator(
+        config.approx.h0_scale, np.empty((0, dimension)), np.empty((0, 0)), 0, True
+    )
+
+
 def _engine_iteration(
-    config: SolverConfig,
+    engine: CeqnParams | AdaptiveParams | float,
     oracle: CountingOracle,
     operator,
     x: Vector,
@@ -322,8 +309,8 @@ def _engine_iteration(
     f: float,
     alpha: float | None,
 ) -> tuple[StepResult, float | None]:
-    if config.method == METHOD_CEQN:
-        return ceqn_step(config.ceqn, oracle, operator, x, g), alpha
-    if config.method == METHOD_FIXED:
-        return fixed_step_iteration(config.fixed_l, oracle, operator, x, g), alpha
-    return adaptive_iteration(config.adaptive, oracle, operator, x, g, f, alpha)
+    if isinstance(engine, CeqnParams):
+        return ceqn_step(engine, oracle, operator, x, g), alpha
+    if isinstance(engine, AdaptiveParams):
+        return adaptive_iteration(engine, oracle, operator, x, g, f, alpha)
+    return fixed_step_iteration(engine, oracle, operator, x, g), alpha

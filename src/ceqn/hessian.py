@@ -120,32 +120,15 @@ def sample_pairs(
     return pairs
 
 
-class ScaledIdentityOperator:
-    """H = c * I, the driver's fallback when no usable operator exists.
-
-    It always reports ``fallback``: the driver builds one only in place of
-    the configured operator.
-    """
-
-    skipped = 0
-    fallback = True
-
-    def __init__(self, scale: float):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        self.scale = scale
-
-    def apply(self, g: Vector) -> Vector:
-        return self.scale * g
-
-
 class LowRankOperator:
     """H = c*I + U^T M U with a few rows U and a small symmetric matrix M.
 
-    ``skipped`` counts the pairs the update rule dropped; ``fallback`` marks
-    a build that was offered pairs but kept none, leaving H = c*I. U may be
-    a view of a PairBuffer's storage, so the operator describes the pairs
-    held at build time only until the buffer's next push.
+    With no rows, H = c*I, and ``apply`` returns exactly c*g. ``skipped``
+    counts the pairs the update rule dropped; ``fallback`` marks a build that
+    was offered pairs but kept none, or the driver's H0 in place of an
+    operator it cannot use. U may be a view of a PairBuffer's storage, so the
+    operator describes the pairs held at build time only until the buffer's
+    next push.
     """
 
     def __init__(self, scale: float, u: np.ndarray, m: np.ndarray, skipped: int, fallback: bool):
@@ -158,6 +141,8 @@ class LowRankOperator:
     def apply(self, g: Vector) -> Vector:
         if g.shape[0] != self.u.shape[1]:
             raise ValueError(f"vector has dimension {g.shape[0]}, expected {self.u.shape[1]}")
+        if not len(self.u):
+            return self.scale * g
         return self.scale * g + (self.m @ (self.u @ g)) @ self.u
 
 

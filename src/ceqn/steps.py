@@ -7,6 +7,10 @@ norm dual to the current curvature operator. The adaptive engines replace
 until a per-step acceptance test passes and optionally decayed after success.
 The fixed engine is the classical baseline x+ = x - (1/L) H g.
 
+``SolverConfig.engine`` holds one engine's parameters (``CeqnParams``,
+``AdaptiveParams``, or the fixed engine's L as a float), and the driver
+calls the engine that the block's type names.
+
 All dual norms inside one outer iteration use the operator frozen at that
 iteration, including inside acceptance tests on the trial point's gradient.
 """

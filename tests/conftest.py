@@ -50,6 +50,19 @@ def random_spd(rng, d, eig_low=0.5, eig_high=3.0):
     return q @ np.diag(np.linspace(eig_low, eig_high, d)) @ q.T
 
 
+class ScaledIdentity:
+    """H = c * I, a stand-in operator for engine tests."""
+
+    skipped = 0
+    fallback = False
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def apply(self, g):
+        return self.scale * g
+
+
 class AffinePullback:
     """The composition f(A x) with analytic gradient and Hessian action."""
 

@@ -19,7 +19,6 @@ from ceqn.driver import SolverConfig, run_solver
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
-    ScaledIdentityOperator,
     rebuild_operator,
     sample_pairs,
 )
@@ -40,6 +39,7 @@ from conftest import (
     FIXTURE_LIBSVM,
     FIXTURE_N,
     FIXTURE_NNZ,
+    ScaledIdentity,
     finite_diff_gradient,
     random_logistic,
     random_spd,
@@ -151,7 +151,7 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
         try:
             res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
-            operator = ScaledIdentityOperator(1e-2)
+            operator = ScaledIdentity(1e-2)
             res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
         f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
         guarded = (
@@ -199,23 +199,21 @@ def test_criterion_05_monotone_descent():
     breaks = []
     for seed in range(5):
         for mode in ("DUAL", "REG"):
-            method = "ADAPTIVE_DUAL" if mode == "DUAL" else "ADAPTIVE_REG"
             config = SolverConfig(
-                method=method,
+                engine=AdaptiveParams(cubic=0.1, mode=mode),
                 approx=ApproxConfig(memory=10, h0_scale=1e-2),
-                adaptive=AdaptiveParams(cubic=0.1, mode=mode),
                 max_iters=200,
                 grad_tol=1e-12,
                 seed=seed,
             )
             result = run_solver(logistic, config)
-            cap = config.adaptive.max_inner
+            cap = config.engine.max_inner
             records = result.trace
             for a, b in zip(records, records[1:]):
                 if a.inner_count >= cap or a.fallback:
                     continue
                 if b.f > a.f:
-                    breaks.append((method, seed, a.iter))
+                    breaks.append((mode, seed, a.iter))
     report(
         5,
         "adaptive traces are nonincreasing in f absent cap/fallback events",
@@ -230,9 +228,8 @@ def test_criterion_06_exact_hessian_degenerate_cases():
     for _ in range(3):
         prob = QuadraticProblem(random_spd(rng, 4), rng.normal(size=4))
         config = SolverConfig(
-            method="CEQN",
+            engine=CeqnParams(theta=1.0, cubic=0.0),
             approx=ApproxConfig(kind="EXACT"),
-            ceqn=CeqnParams(theta=1.0, cubic=0.0),
             max_iters=20,
         )
         result = run_solver(prob, config)

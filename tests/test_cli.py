@@ -309,11 +309,79 @@ class TestGrid:
             assert isinstance(summary["final_grad_norm_sq"], float)
             assert isinstance(summary["final_alpha"], float)
 
+    @pytest.fixture
+    def short_fixed_config(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "method": "FIXED",
+            "dataset": str(FIXTURE_LIBSVM),
+            "cubic": 10.0,
+            "max_iters": 5,
+            "mu": 1e-3,
+        }))
+        return path
+
+    def test_int_key_grid_runs_whole_values(self, short_fixed_config, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            "--param", "memory", "--values", "5,10", "--seeds", "0",
+        ])
+        assert code == 0
+        report = json.loads((out / "grid-report.json").read_text())
+        assert [row["memory"] for row in report["rows"]] == [5, 10]
+        assert all(row["status"] == "ok" for row in report["rows"])
+        summary = json.loads((out / "fixed-memory5-seed0" / "summary.json").read_text())
+        assert summary["config"]["memory"] == 5
+
+    def test_int_key_grid_rejects_fraction_before_any_run(
+        self, short_fixed_config, tmp_path, capsys
+    ):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            "--param", "memory", "--values", "5,5.5", "--seeds", "0",
+        ])
+        assert code == 2
+        assert "memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_value_exits_2_before_any_run(
+        self, short_fixed_config, tmp_path, capsys
+    ):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            "--values", "10,-1", "--seeds", "0",
+        ])
+        assert code == 2
+        assert "fixed_l must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_key_grid_keeps_float_values(self, short_fixed_config, tmp_path, capsys):
+        out = tmp_path / "grid"
+        main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            "--values", "1,10", "--seeds", "0",
+        ])
+        text = (out / "grid-report.json").read_text()
+        assert '"values": [\n    1.0,\n    10.0\n  ]' in text
+        report = json.loads(text)
+        assert [row["run_id"] for row in report["rows"]] == [
+            "fixed-cubic1-seed0", "fixed-cubic10-seed0",
+        ]
+        assert all(isinstance(row["cubic"], float) for row in report["rows"])
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec("cubic", [])
         with pytest.raises(ValueError):
             GridSpec("cubic", [float("inf")])
+        with pytest.raises(ValueError, match="memory"):
+            GridSpec("memory", [2.5])
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            GridSpec("cubik", [1.0])
+        assert GridSpec("memory", [5.0, 10]).values == [5, 10]
 
     def test_builtin_presets_are_pinned(self):
         from ceqn.cli import GRID_PRESETS

@@ -422,9 +422,8 @@ def coo_reference(text, dimension):
 
 def small_run_result(n_records=3):
     config = SolverConfig(
-        method="CEQN",
+        engine=CeqnParams(theta=1.0, cubic=0.0),
         approx=ApproxConfig(kind="EXACT"),
-        ceqn=CeqnParams(theta=1.0, cubic=0.0),
         max_iters=10,
     )
     trace = [
@@ -621,7 +620,7 @@ class TestConfig:
         spec = load_config(path)
         assert spec["method"] == "FIXED"
         config = spec.to_solver_config()
-        assert config.fixed_l == 1.0
+        assert config.engine == 1.0
 
     def test_misspelled_key_is_named(self):
         with pytest.raises(ConfigError, match="gama_inc"):

@@ -21,9 +21,8 @@ from conftest import FIXTURE_LIBSVM, random_logistic, random_spd
 
 def exact_newton_config(**kwargs):
     defaults = dict(
-        method="CEQN",
+        engine=CeqnParams(theta=1.0, cubic=0.0),
         approx=ApproxConfig(kind="EXACT"),
-        ceqn=CeqnParams(theta=1.0, cubic=0.0),
         max_iters=50,
     )
     defaults.update(kwargs)
@@ -31,11 +30,9 @@ def exact_newton_config(**kwargs):
 
 
 def adaptive_config(mode, cubic=0.1, **kwargs):
-    method = "ADAPTIVE_DUAL" if mode == "DUAL" else "ADAPTIVE_REG"
     defaults = dict(
-        method=method,
+        engine=AdaptiveParams(cubic=cubic, mode=mode),
         approx=ApproxConfig(memory=10, h0_scale=1e-4),
-        adaptive=AdaptiveParams(cubic=cubic, mode=mode),
         max_iters=300,
         grad_tol=1e-12,
         seed=0,
@@ -91,9 +88,8 @@ class TestRunSolver:
     def test_numerical_failure_carries_partial_trace(self, rng):
         prob = random_logistic(rng, n=100, d=15)
         cfg = SolverConfig(
-            method="FIXED",
+            engine=1e-8,  # stepsize 1e8 diverges immediately
             approx=ApproxConfig(memory=5, h0_scale=1.0),
-            fixed_l=1e-8,  # stepsize 1e8 diverges immediately
             max_iters=50,
         )
         with pytest.raises(NumericalFailureError) as excinfo:
@@ -109,9 +105,8 @@ class TestRunSolver:
         dataset = parse_libsvm(FIXTURE_LIBSVM)
         prob = LogisticProblem(dataset.design, dataset.labels, mu=1e-4)
         cfg = SolverConfig(
-            method="FIXED",
+            engine=1e-12,
             approx=ApproxConfig(kind="LSR1", h0_scale=1.0),
-            fixed_l=1e-12,
             max_iters=200,
         )
         with pytest.raises(NumericalFailureError) as excinfo:
@@ -124,9 +119,8 @@ class TestRunSolver:
     def test_stationary_safeguard_on_underflowing_step(self):
         prob = tridiagonal_quadratic(3)
         cfg = SolverConfig(
-            method="FIXED",
+            engine=1e300,  # step underflows to zero displacement
             approx=ApproxConfig(memory=2, h0_scale=1.0),
-            fixed_l=1e300,  # step underflows to zero displacement
             max_iters=10,
             grad_tol=0.0,
         )
@@ -148,9 +142,8 @@ class TestRunSolver:
                 return -V
 
         cfg = SolverConfig(
-            method="CEQN",
+            engine=CeqnParams(theta=1.0, cubic=1.0),
             approx=ApproxConfig(memory=3, h0_scale=0.1, kind="LSR1"),
-            ceqn=CeqnParams(theta=1.0, cubic=1.0),
             max_iters=1,
             seed=1,
         )
@@ -158,9 +151,8 @@ class TestRunSolver:
         assert result.trace[0].fallback
 
         adaptive = SolverConfig(
-            method="ADAPTIVE_DUAL",
+            engine=AdaptiveParams(cubic=1.0, mode="DUAL", max_inner=10),
             approx=ApproxConfig(memory=3, h0_scale=0.1, kind="LSR1"),
-            adaptive=AdaptiveParams(cubic=1.0, mode="DUAL", max_inner=10),
             max_iters=2,
             seed=1,
         )
@@ -182,9 +174,8 @@ class TestRunSolver:
         dataset = parse_libsvm(FIXTURE_LIBSVM)
         design = sp.hstack([dataset.design, dataset.design[:, :10]], format="csr")
         cfg = SolverConfig(
-            method="CEQN",
+            engine=CeqnParams(theta=1.0, cubic=1.0),
             approx=ApproxConfig(kind="LSR1", pair_strategy="SAMPLED", h0_scale=1e-2),
-            ceqn=CeqnParams(theta=1.0, cubic=1.0),
             max_iters=20,
         )
         result = run_solver(LogisticProblem(design, dataset.labels, mu=0.0), cfg)
@@ -253,7 +244,7 @@ class TestTraceIntegrity:
         for mode in ("DUAL", "REG"):
             result = run_solver(prob, adaptive_config(mode, max_iters=200))
             clean = not any(
-                rec.inner_count >= result.config.adaptive.max_inner or rec.fallback
+                rec.inner_count >= result.config.engine.max_inner or rec.fallback
                 for rec in result.trace
             )
             if clean:
@@ -263,25 +254,17 @@ class TestTraceIntegrity:
 
 class TestConfigValidation:
     def test_missing_engine_block(self):
-        with pytest.raises(ValueError, match="parameter block"):
-            SolverConfig(method="CEQN")
-
-    def test_extra_engine_block(self):
-        with pytest.raises(ValueError):
-            SolverConfig(
-                method="FIXED", fixed_l=1.0, ceqn=CeqnParams(), max_iters=5
-            )
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError, match="DUAL"):
-            SolverConfig(
-                method="ADAPTIVE_DUAL",
-                adaptive=AdaptiveParams(cubic=1.0, mode="REG"),
-            )
+        with pytest.raises(TypeError):
+            SolverConfig()
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            SolverConfig(method="NEWTON", ceqn=CeqnParams())
+        # an engine that is not a parameter block names no schedule
+        with pytest.raises(ValueError, match="engine"):
+            SolverConfig(engine="NEWTON")
+
+    def test_fixed_l_must_be_positive(self):
+        with pytest.raises(ValueError, match="fixed_l must be positive"):
+            SolverConfig(engine=0.0)
 
     def test_explicit_x0_dimension_checked(self):
         cfg = exact_newton_config(x0=np.ones(4))

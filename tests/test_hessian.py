@@ -7,7 +7,6 @@ from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
     PairBuffer,
-    ScaledIdentityOperator,
     rebuild_operator,
     sample_pairs,
 )
@@ -98,11 +97,50 @@ def pair_histories(draw):
     return d, capacity, kinds, scale, seed
 
 
+def realize(history, kinds=None):
+    """Push a drawn history, or the given kinds in its place, into its
+    buffer; returns (rng, buffer, the stored pairs oldest first)."""
+    d, capacity, drawn, scale, seed = history
+    rng = np.random.default_rng(seed)
+    a = random_spd(rng, d)
+    buf = PairBuffer(capacity, d)
+    pushed = []
+    for kind in drawn if kinds is None else kinds:
+        s, y = rng.normal(size=d), rng.normal(size=d)
+        if kind == "quadratic":
+            y = a @ s
+        elif kind == "negative":
+            y = -(a @ s)
+        elif kind == "h0":
+            s = scale * y
+        elif kind == "zero_s":
+            s = np.zeros(d)
+        elif kind == "zero_y":
+            y = np.zeros(d)
+        buf.push(s, y)
+        pushed.append((s, y))
+    return rng, buf, pushed[-capacity:]
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u) with unit roundoff u = eps / 2."""
+    nu = n * np.finfo(np.float64).eps / 2
+    return nu / (1 - nu)
+
+
+def abs_apply(op, v):
+    """|H| |v| with |H| = c I + |U|^T |M| |U|, the magnitudes ``apply`` sums."""
+    u = np.abs(op.u)
+    return op.scale * np.abs(v) + (np.abs(op.m) @ (u @ np.abs(v))) @ u
+
+
 class TestLsr1:
     def test_empty_pairs_is_scaled_identity(self, rng):
         g = rng.normal(size=6)
+        g[0] = -0.0
         op = build("LSR1", PairBuffer(3, 6), 0.5)
-        np.testing.assert_array_equal(op.apply(g), 0.5 * g)
+        # exactly c * g, down to the sign of a zero
+        assert op.apply(g).tobytes() == (0.5 * g).tobytes()
         assert op.skipped == 0 and not op.fallback
 
     def test_pair_matching_h0_is_skipped(self, rng):
@@ -212,26 +250,8 @@ class TestDenseReferenceEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(pair_histories())
     def test_random_histories_match_dense_updates(self, history):
-        d, capacity, kinds, scale, seed = history
-        rng = np.random.default_rng(seed)
-        a = random_spd(rng, d)
-        buf = PairBuffer(capacity, d)
-        pushed = []
-        for kind in kinds:
-            s, y = rng.normal(size=d), rng.normal(size=d)
-            if kind == "quadratic":
-                y = a @ s
-            elif kind == "negative":
-                y = -(a @ s)
-            elif kind == "h0":
-                s = scale * y
-            elif kind == "zero_s":
-                s = np.zeros(d)
-            elif kind == "zero_y":
-                y = np.zeros(d)
-            buf.push(s, y)
-            pushed.append((s, y))
-        stored = pushed[-capacity:]
+        d, _, _, scale, _ = history
+        rng, buf, stored = realize(history)
         for kind, reference in (("LSR1", dense_lsr1), ("LBFGS", dense_lbfgs)):
             op = build(kind, buf, scale)
             dense, skipped = reference(stored, scale, d)
@@ -239,6 +259,112 @@ class TestDenseReferenceEquivalence:
             assert op.fallback == (bool(stored) and skipped == len(stored))
             for g in rng.normal(size=(3, d)):
                 np.testing.assert_allclose(op.apply(g), dense @ g, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_histories())
+    def test_random_histories_give_symmetric_operators(self, history):
+        """a.(H b) = b.(H a) for every build, up to rounding.
+
+        With u = eps/2 and gamma_n = n u / (1 - n u), an n-term dot product
+        is off by at most gamma_n |x|.|y|. ``apply`` forms U b (d terms),
+        M (U b) (r terms, r the rows of U), its product with U (r terms) and
+        c b plus that (2 roundings), and the dot with a adds d terms, so
+        fl(a.(H b)) is within gamma_K |a|.(|H| |b|) of a.(H b) for the
+        stored (c, U, M), with K = 2d + 2r + 2 and |H| = c I + |U|^T |M| |U|.
+        The two sides then differ by at most gamma_K (|a|.|H||b| +
+        |b|.|H||a|) plus |U a|.(|M - M^T| |U b|), and M's own asymmetry is
+        bounded apart: SR1's M is diagonal, and L-BFGS's M has off-diagonal
+        blocks -g R^-T and -g R^-1, exact transposes, over the top block
+        T = R^-T B R^-1 with B = D + g Y Y^T, whose two products put at
+        most gamma_{2k} |R^-T| |B| |R^-1| into each entry (k kept pairs),
+        so |T - T^T| <= 2 gamma_{2k} |R^-T| (D + g |Y| |Y|^T) |R^-1|.
+        """
+        d, _, _, scale, _ = history
+        rng, buf, stored = realize(history)
+        for kind in ("LSR1", "LBFGS"):
+            op = build(kind, buf, scale)
+            asym = np.abs(op.m - op.m.T)
+            if kind == "LSR1":
+                assert not asym.any()
+            else:
+                kept = [
+                    slot for slot in buf.order()
+                    if buf.s[slot] @ buf.y[slot]
+                    > 1e-12 * np.linalg.norm(buf.s[slot]) * np.linalg.norm(buf.y[slot])
+                ]
+                s, y = buf.s[kept], buf.y[kept]
+                r_inv = np.abs(np.linalg.inv(np.triu(s @ y.T)))
+                b = np.diag(np.einsum("ij,ij->i", s, y)) + op.scale * np.abs(y) @ np.abs(y).T
+                bound = 2 * gamma(2 * len(kept)) * r_inv.T @ b @ r_inv
+                assert np.all(asym[np.ix_(kept, kept)] <= bound)
+            k = gamma(2 * d + 2 * len(op.u) + 2)
+            for a, b in rng.normal(size=(3, 2, d)):
+                tol = k * (np.abs(a) @ abs_apply(op, b) + np.abs(b) @ abs_apply(op, a))
+                tol += np.abs(op.u @ a) @ asym @ np.abs(op.u @ b)
+                assert abs(a @ op.apply(b) - b @ op.apply(a)) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_histories())
+    def test_random_histories_lbfgs_secant_on_newest_kept_pair(self, history):
+        """H y = s for the newest pair that passes the curvature test.
+
+        In exact arithmetic S y_k is R's last column, so R^-1 S y_k = e_k
+        and the compact form collapses to s_k. Rounding enters in forming
+        S Y^T and g (2d terms each), the triangular inverse (k terms), T
+        (2k), and ``apply`` (d + 2r + 2, as in the symmetry property). Each
+        error is at first order gamma_n times a product of magnitudes that
+        is a term of |H| |y_k| with |H| = c I + |U|^T |M| |U|: an error
+        E = R^-1 R - I of size gamma_k |R^-1| |R| reaches H y_k through
+        g Y^T E e_k, bounded by gamma_k |Y|^T |g R^-1| |S| |y_k|, which is
+        M's off-diagonal block between |U| factors. Summing the counts,
+        ||H y_k - s_k|| <= gamma_K || |H| |y_k| || with
+        K = 5d + 2r + 3k + 2.
+        """
+        d, _, _, scale, _ = history
+        _, buf, stored = realize(history)
+        kept = [
+            (s, y) for s, y in stored
+            if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
+        ]
+        if not kept:
+            return
+        op = build("LBFGS", buf, scale)
+        s, y = kept[-1]
+        k = gamma(5 * d + 2 * len(op.u) + 3 * len(kept) + 2)
+        assert np.linalg.norm(op.apply(y) - s) <= k * np.linalg.norm(abs_apply(op, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_histories())
+    def test_lsr1_on_quadratic_pairs_meets_every_secant(self, history):
+        """An SR1 build that keeps every exact quadratic pair has H y_i = s_i.
+
+        The history's pushes are replaced by pairs (s, A s). Building pair
+        j computes v_j = s_j - H_{j-1} y_j and its weight 1 / v_j.y_j, so
+        right after its own update pair j's residual H_j y_j - s_j is the
+        rounding of H_{j-1} y_j (the ``apply`` count d + 2r + 2) and of the
+        subtraction, plus the weight's relative error gamma_d rho_j with
+        rho_j = ||v_j|| ||y_j|| / |v_j.y_j|. A later update l adds
+        v_l (v_l.y_j) / (v_l.y_l); in exact arithmetic v_l.y_j = 0, and
+        with a residual r_j it is -y_l.r_j, plus the rounding of y = A s
+        (d terms on each side of s_l.y_j = y_l.s_j), so each later update
+        grows the residual by at most the factor 1 + rho_l. Hence
+        ||H y_j - s_j|| <= gamma_K (|| |H| |y_j| || + ||s_j||) prod_l (1 + rho_l)
+        with K = 4d + 2r + 2 and |H| = c I + |U|^T |M| |U|.
+        """
+        d, _, kinds, scale, _ = history
+        _, buf, stored = realize(history, ["quadratic"] * len(kinds))
+        op = build("LSR1", buf, scale)
+        if op.skipped:
+            return
+        weights = np.diag(op.m)
+        rho = np.prod(
+            1 + np.linalg.norm(op.u, axis=1) * np.linalg.norm(buf.y[buf.order()], axis=1)
+            * np.abs(weights)
+        )
+        k = gamma(4 * d + 2 * len(op.u) + 2)
+        for s, y in stored:
+            tol = k * (np.linalg.norm(abs_apply(op, y)) + np.linalg.norm(s)) * rho
+            assert np.linalg.norm(op.apply(y) - s) <= tol
 
 
 class TestPairSources:
@@ -355,7 +481,7 @@ class TestRebuild:
         for op in (
             build("LSR1", pairs, 0.5),
             build("LBFGS", pairs, 0.5),
-            ScaledIdentityOperator(0.5),
+            build("LSR1", PairBuffer(2, 6), 0.5),
         ):
             for _ in range(5):
                 u, v = rng.normal(size=6), rng.normal(size=6)

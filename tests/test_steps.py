@@ -9,7 +9,6 @@ from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
     PairBuffer,
-    ScaledIdentityOperator,
     rebuild_operator,
 )
 from ceqn.problems import CountingOracle, QuadraticProblem
@@ -27,10 +26,10 @@ from ceqn.steps import (
     fixed_step_iteration,
 )
 
-from conftest import random_logistic, random_spd
+from conftest import ScaledIdentity, random_logistic, random_spd
 
 
-class IdentityOperator(ScaledIdentityOperator):
+class IdentityOperator(ScaledIdentity):
     def __init__(self):
         super().__init__(1.0)
 
@@ -54,7 +53,7 @@ class TestDualNorm:
         assert value == 0.0
 
     def test_scaled_identity(self):
-        value, _ = dual_norm(ScaledIdentityOperator(2.0), np.array([1.0, 1.0]))
+        value, _ = dual_norm(ScaledIdentity(2.0), np.array([1.0, 1.0]))
         assert value == pytest.approx(2.0, rel=1e-15)
 
     def test_indefinite_operator_raises(self):
@@ -171,7 +170,7 @@ class TestAcceptanceAtLargeAlpha:
         prob = random_logistic(rng, n=n, d=d, mu=mu)
         x = rng.normal(size=d)
         if operator_kind == "identity":
-            op = ScaledIdentityOperator(scale)
+            op = ScaledIdentity(scale)
         else:
             # curvature pairs of a positive-definite B / scale: H is positive definite
             b = random_spd(rng, d) / scale
@@ -274,7 +273,7 @@ class TestCheckDual:
         prob = random_logistic(rng, n=50, d=10)
         x = np.ones(10)
         g = prob.gradient(x)
-        op = ScaledIdentityOperator(1e6)
+        op = ScaledIdentity(1e6)
         alpha, cubic = 1.0, 0.1
         gd, hg = dual_norm(op, g)
         eta = adaptive_stepsize(cubic, alpha, gd)
@@ -399,7 +398,7 @@ class TestAdaptiveIteration:
         alphas = []
         iters = 40
         for _ in range(iters):
-            op = ScaledIdentityOperator(1e-2)
+            op = ScaledIdentity(1e-2)
             res, alpha_out = adaptive_iteration(params, oracle, op, x, g, f, alpha)
             assert alpha_out >= alpha
             total_inner += res.inner_count
@@ -435,7 +434,7 @@ class TestAdaptiveIteration:
             alpha = 1.0
             params = AdaptiveParams(cubic=0.1, alpha0=1.0, mode=mode)
             for _ in range(30):
-                op = ScaledIdentityOperator(0.5)
+                op = ScaledIdentity(0.5)
                 res, alpha = adaptive_iteration(params, oracle, op, x, g, f, alpha)
                 f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
                 if not res.cap_hit:
