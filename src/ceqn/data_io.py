@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -447,7 +448,7 @@ def write_summary_json(
     )
     summary = {
         "config": config,
-        "seed": result.seed,
+        "seed": result.config.seed,
         "termination": result.termination,
         "iterations": len(result.trace),
         "final_f": f_final,
@@ -481,8 +482,6 @@ _SPEC_SCHEMA: dict[str, tuple[tuple[type, ...], object]] = {
     "pair_strategy": ((str,), "SAMPLED"),
     "memory": ((int,), 10),
     "h0_scale": ((float, int), 1e-4),
-    "sr1_skip_tol": ((float, int), 1e-8),
-    "bfgs_curvature_tol": ((float, int), 1e-12),
     "theta": ((float, int), 1.0),
     "cubic": ((float, int), None),
     "stepsize_form": ((str,), "STANDARD"),
@@ -522,8 +521,6 @@ class RunSpec:
             h0_scale=v["h0_scale"],
             kind=v["approx_kind"],
             pair_strategy=v["pair_strategy"],
-            sr1_skip_tol=v["sr1_skip_tol"],
-            bfgs_curvature_tol=v["bfgs_curvature_tol"],
         )
         method = v["method"]
         if method == METHOD_CEQN:
@@ -542,7 +539,6 @@ class RunSpec:
                 gamma_dec=v["gamma_dec"],
                 mode=MODE_DUAL if method == METHOD_ADAPTIVE_DUAL else MODE_REG,
                 max_inner=v["max_inner"],
-                grad_tol=v["grad_tol"],
             )
         x0 = v["x0"]
         return SolverConfig(
@@ -597,6 +593,10 @@ def validate_spec(values: dict) -> RunSpec:
             raise ConfigError(
                 f"key {key!r} expects {names}, got {type(value).__name__} ({value!r})"
             )
+        # json also reads NaN, Infinity, null and ints past the float range
+        numbers = value if isinstance(value, list) else [value] if float in allowed else []
+        if not all(type(e) in (int, float) and abs(e) <= sys.float_info.max for e in numbers):
+            raise ConfigError(f"key {key!r} takes finite numbers, got {value!r}")
     merged = {}
     for key, (allowed, default) in _SPEC_SCHEMA.items():
         value = values.get(key, default)

@@ -62,7 +62,9 @@ class SolverConfig:
     ``engine`` is the stepsize schedule's parameter block, and its type picks
     the schedule: ``CeqnParams`` for the closed-form CEQN step,
     ``AdaptiveParams`` for the adaptive loop (DUAL or REG by its ``mode``),
-    and a float ``L`` for the fixed step ``1/L``.
+    and a float ``L`` for the fixed step ``1/L``. The run stops at a
+    point with ``||g||^2 <= grad_tol``, and the DUAL test accepts a trial
+    point with it.
     """
 
     engine: CeqnParams | AdaptiveParams | float
@@ -127,7 +129,6 @@ class RunResult:
     f_final: float
     grad_norm_sq_final: float
     config: SolverConfig
-    seed: int
     wall_seconds: float
     n_value: int
     n_grad: int
@@ -186,8 +187,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     t0 = time.perf_counter()
     trace: list[TraceRecord] = []
 
-    engine = config.engine
-    alpha = engine.alpha0 if isinstance(engine, AdaptiveParams) else None
+    alpha = config.engine.alpha0 if isinstance(config.engine, AdaptiveParams) else None
 
     def finish(termination: str, x_end: Vector, f_end: float, g_end: Vector) -> RunResult:
         # a diverged gradient may square past the float range: inf is the answer
@@ -200,7 +200,6 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
             f_final=float(f_end),
             grad_norm_sq_final=gns_end,
             config=config,
-            seed=config.seed,
             wall_seconds=time.perf_counter() - t0,
             n_value=oracle.n_value,
             n_grad=oracle.n_grad,
@@ -244,10 +243,10 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         skipped_pairs = operator.skipped
 
         try:
-            result, alpha_next = _engine_iteration(engine, oracle, operator, x, g, f, alpha)
+            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
             operator = _fallback_operator(config, oracle.dimension)
-            result, alpha_next = _engine_iteration(engine, oracle, operator, x, g, f, alpha)
+            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
 
         x_next = result.x_next
         f_next = result.f_next if result.f_next is not None else oracle.value(x_next)
@@ -301,7 +300,7 @@ def _fallback_operator(config: SolverConfig, dimension: int) -> LowRankOperator:
 
 
 def _engine_iteration(
-    engine: CeqnParams | AdaptiveParams | float,
+    config: SolverConfig,
     oracle: CountingOracle,
     operator,
     x: Vector,
@@ -309,8 +308,9 @@ def _engine_iteration(
     f: float,
     alpha: float | None,
 ) -> tuple[StepResult, float | None]:
+    engine = config.engine
     if isinstance(engine, CeqnParams):
         return ceqn_step(engine, oracle, operator, x, g), alpha
     if isinstance(engine, AdaptiveParams):
-        return adaptive_iteration(engine, oracle, operator, x, g, f, alpha)
+        return adaptive_iteration(engine, oracle, operator, x, g, f, alpha, config.grad_tol)
     return fixed_step_iteration(engine, oracle, operator, x, g), alpha

@@ -29,6 +29,10 @@ KIND_EXACT = "EXACT"
 STRATEGY_HISTORY = "HISTORY"
 STRATEGY_SAMPLED = "SAMPLED"
 
+# the pair safeguards' tolerances, as _build_lsr1 and _build_lbfgs use them
+SR1_SKIP_TOL = 1e-8
+BFGS_CURVATURE_TOL = 1e-12
+
 
 @dataclass
 class ApproxConfig:
@@ -43,8 +47,6 @@ class ApproxConfig:
     h0_scale: float = 1e-4
     kind: str = KIND_LSR1
     pair_strategy: str = STRATEGY_SAMPLED
-    sr1_skip_tol: float = 1e-8
-    bfgs_curvature_tol: float = 1e-12
 
     def __post_init__(self):
         if self.memory < 1:
@@ -55,8 +57,6 @@ class ApproxConfig:
             raise ValueError(f"unknown approximation kind {self.kind!r}")
         if self.pair_strategy not in (STRATEGY_HISTORY, STRATEGY_SAMPLED):
             raise ValueError(f"unknown pair strategy {self.pair_strategy!r}")
-        if self.sr1_skip_tol <= 0 or self.bfgs_curvature_tol <= 0:
-            raise ValueError("skip tolerances must be positive")
 
 
 class PairBuffer:
@@ -164,12 +164,12 @@ def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOper
         s, y = pairs.s[slot], pairs.y[slot]
         # a vanished displacement or curvature carries no information and
         # would inject a singular direction the denominator rule misses
-        if not (np.any(s) and np.any(y)):
+        if not (s.any() and y.any()):
             continue
-        hy = scale * y + (inv_vty[:k] * (v[:k] @ y)) @ v[:k]
-        np.subtract(s, hy, out=v[k])
-        vty = float(v[k] @ y)
-        if abs(vty) <= skip_tol * np.linalg.norm(v[k]) * np.linalg.norm(y):
+        kept, vk = v[:k], v[k]
+        np.subtract(s, scale * y + (inv_vty[:k] * (kept @ y)) @ kept, out=vk)
+        vty = float(vk @ y)
+        if abs(vty) <= skip_tol * math.sqrt(vk @ vk) * math.sqrt(y @ y):
             continue
         # a subnormal v^T y has no finite weight, and a v that overflowed
         # has no finite v^T y: either would put inf or NaN into U or M
@@ -245,9 +245,9 @@ class DenseInverseOperator:
 def rebuild_operator(config: ApproxConfig, pairs: PairBuffer) -> LowRankOperator:
     """Build the configured limited-memory operator from the buffered pairs."""
     if config.kind == KIND_LSR1:
-        return _build_lsr1(pairs, config.h0_scale, config.sr1_skip_tol)
+        return _build_lsr1(pairs, config.h0_scale, SR1_SKIP_TOL)
     if config.kind == KIND_LBFGS:
-        return _build_lbfgs(pairs, config.h0_scale, config.bfgs_curvature_tol)
+        return _build_lbfgs(pairs, config.h0_scale, BFGS_CURVATURE_TOL)
     raise ValueError(
         f"operator kind {config.kind!r} is not pair-based; build it in the driver"
     )

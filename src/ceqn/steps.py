@@ -64,8 +64,7 @@ class AdaptiveParams:
 
     gamma_dec = 1 reproduces the increase-only scheme (alpha carried forward
     unchanged after acceptance); gamma_dec < 1 decays alpha after every
-    accepted step. ``grad_tol`` (on ||g||^2 at the trial point) short-circuits
-    acceptance at stationarity, where the DUAL test degenerates to 0 <= 0.
+    accepted step.
     """
 
     cubic: float = 1.0
@@ -74,7 +73,6 @@ class AdaptiveParams:
     gamma_dec: float = 0.5
     mode: str = MODE_DUAL
     max_inner: int = 30
-    grad_tol: float = 1e-12
 
     def __post_init__(self):
         if self.cubic <= 0:
@@ -89,8 +87,6 @@ class AdaptiveParams:
             raise ValueError(f"unknown acceptance mode {self.mode!r}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if self.grad_tol < 0:
-            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
 
 
 @dataclass
@@ -187,25 +183,26 @@ def check_dual(
     operator,
     alpha: float,
     cubic: float,
-    grad_tol: float = 1e-12,
-) -> tuple[bool, float | None]:
-    """DUAL acceptance test; returns (rejected, ||g+||*).
+    grad_tol: float,
+) -> bool:
+    """DUAL acceptance test; True means the step is rejected.
 
     Rejects when <g+, x_k - x+> fails to exceed the curvature-scaled
     threshold min{ (||g+||*)^2 / 4a, (||g+||*)^{3/2} / sqrt(6 (1+a)^{3/2} L) },
     with the dual norm taken under the frozen operator of this iteration (one
-    operator application). Accepts immediately once ||g+||^2 <= grad_tol,
-    without the dual norm, which is then returned as None.
+    operator application). Accepts without the dual norm once ||g+||^2 <=
+    grad_tol, the run's stationarity test, where the threshold degenerates
+    to 0 <= 0.
     """
     if float(g_next @ g_next) <= grad_tol:
-        return False, None
+        return False
     gdual_next, _ = dual_norm(operator, g_next)
     lhs = float(g_next @ (x_k - x_next))
     threshold = min(
         gdual_next**2 / (4.0 * alpha),
         gdual_next**1.5 / math.sqrt(6.0 * (1.0 + alpha) ** 1.5 * cubic),
     )
-    return lhs <= threshold, gdual_next
+    return lhs <= threshold
 
 
 def check_reg(
@@ -239,12 +236,14 @@ def adaptive_iteration(
     g_k: Vector,
     f_k: float,
     alpha_in: float,
+    grad_tol: float,
 ) -> tuple[StepResult, float]:
     """One adaptive outer iteration with its inner acceptance loop.
 
     Grows alpha by gamma_inc and retries the trial step while the configured
     acceptance test rejects, up to max_inner retries; at the cap the last
-    trial is taken and flagged. Returns the step plus the alpha to carry into
+    trial is taken and flagged. ``grad_tol`` is the run's ||g||^2 bound,
+    passed to ``check_dual``. Returns the step plus the alpha to carry into
     the next outer iteration (decayed by gamma_dec after success).
     """
     if alpha_in <= 0:
@@ -262,9 +261,7 @@ def adaptive_iteration(
             rejected = check_reg(f_k, f_next, eta, gdual, params.cubic, alpha)
         else:
             g_next = oracle.gradient(x_next)
-            rejected, _ = check_dual(
-                g_next, x_k, x_next, operator, alpha, params.cubic, params.grad_tol
-            )
+            rejected = check_dual(g_next, x_k, x_next, operator, alpha, params.cubic, grad_tol)
         if not rejected or inner >= params.max_inner:
             break
         alpha *= params.gamma_inc

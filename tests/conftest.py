@@ -19,6 +19,9 @@ FIXTURE_N = 300
 FIXTURE_D = 60
 FIXTURE_NNZ = 2588
 
+# a bound on ||g||^2 for engine-level tests, SolverConfig's default
+GRAD_TOL = 1e-12
+
 
 def random_logistic(rng, n=50, d=10, mu=1e-4, density=0.4):
     """Random sparse logistic instance with labels from a noisy hyperplane."""

@@ -39,6 +39,7 @@ from conftest import (
     FIXTURE_LIBSVM,
     FIXTURE_N,
     FIXTURE_NNZ,
+    GRAD_TOL,
     ScaledIdentity,
     finite_diff_gradient,
     random_logistic,
@@ -149,13 +150,13 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
             break
         operator = rebuild_operator(approx, sample_pairs(oracle, x, approx_memory, rng))
         try:
-            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
+            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
         except IndefiniteOperatorError:
             operator = ScaledIdentity(1e-2)
-            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha)
+            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
         f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
         guarded = (
-            res.g_next is not None and float(res.g_next @ res.g_next) <= params.grad_tol
+            res.g_next is not None and float(res.g_next @ res.g_next) <= GRAD_TOL
         )
         if not res.cap_hit and not guarded:
             # the dual norm the acceptance test took at the accepted point

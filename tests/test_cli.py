@@ -71,6 +71,26 @@ class TestRun:
         assert code == 2
         assert "dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"method": "CEQN", "cubic": math.nan, "max_iters": 5},
+            {"method": "ADAPTIVE_REG", "cubic": math.inf, "max_iters": 5},
+            {"method": "FIXED", "cubic": 10.0, "x0": [1.0] * 59 + [-math.inf]},
+            # the echo of an older summary.json, which held the safeguard tolerances
+            {"method": "FIXED", "cubic": 10.0, "sr1_skip_tol": 1e-8},
+            {"method": "FIXED", "cubic": 10.0, "bfgs_curvature_tol": 1e-12},
+        ],
+    )
+    def test_rejected_config_exits_2_naming_the_key(self, config, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dataset": str(FIXTURE_LIBSVM), **config}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        key = "cubic" if "max_iters" in config else list(config)[-1]
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equal_seeds_give_identical_traces_modulo_wall(
         self, fixed_config, tmp_path, capsys
     ):

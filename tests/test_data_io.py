@@ -451,7 +451,6 @@ def small_run_result(n_records=3):
         f_final=trace[-1].f if trace else 1.0,
         grad_norm_sq_final=1e-5,
         config=config,
-        seed=0,
         wall_seconds=0.01,
         n_value=n_records,
         n_grad=n_records,
@@ -629,6 +628,17 @@ class TestConfig:
     def test_wrong_type_is_named(self):
         with pytest.raises(ConfigError, match="'memory'"):
             validate_spec({"method": "FIXED", "cubic": 1.0, "memory": "ten"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cubic", math.nan), ("mu", -math.inf), ("max_seconds", math.inf),
+            ("x0", [0.0, math.nan]), ("x0", [0.0, None]), ("h0_scale", 10**400),
+        ],
+    )
+    def test_non_finite_number_is_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' takes finite numbers"):
+            validate_spec({"method": "FIXED", "cubic": 1.0, "dataset": "x", key: value})
 
     def test_missing_method(self):
         with pytest.raises(ConfigError, match="method"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,28 @@ def dense_lbfgs(pairs, c, d, curvature_tol=1e-12):
         left = np.eye(d) - rho * np.outer(s, y)
         dense = left @ dense @ left.T + rho * np.outer(s, s)
     return dense, len(pairs) - len(kept)
+
+
+def reference_lsr1(pairs, scale, skip_tol=1e-8):
+    """The LSR1 build as first written, one numpy call per operation and
+    pair; returns (U, M, skipped, fallback)."""
+    n = len(pairs)
+    v = np.empty((n, pairs.dimension))
+    inv_vty = np.empty(n)
+    k = 0
+    for slot in pairs.order():
+        s, y = pairs.s[slot], pairs.y[slot]
+        if not (np.any(s) and np.any(y)):
+            continue
+        hy = scale * y + (inv_vty[:k] * (v[:k] @ y)) @ v[:k]
+        np.subtract(s, hy, out=v[k])
+        vty = float(v[k] @ y)
+        if abs(vty) <= skip_tol * np.linalg.norm(v[k]) * np.linalg.norm(y):
+            continue
+        inv_vty[k] = 1.0 / vty
+        if math.isfinite(vty) and math.isfinite(inv_vty[k]):
+            k += 1
+    return v[:k], np.diag(inv_vty[:k]), n - k, n > 0 and k == 0
 
 
 PAIR_KINDS = ("quadratic", "gaussian", "negative", "zero_s", "zero_y")
@@ -259,6 +283,27 @@ class TestDenseReferenceEquivalence:
             assert op.fallback == (bool(stored) and skipped == len(stored))
             for g in rng.normal(size=(3, d)):
                 np.testing.assert_allclose(op.apply(g), dense @ g, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_histories())
+    def test_random_histories_lsr1_equals_reference_bits(self, history):
+        d, _, _, scale, _ = history
+        _, buf, _ = realize(history)
+        self.assert_lsr1_equals_reference(buf, scale)
+
+    @pytest.mark.parametrize("d", [60, 500])
+    def test_wide_histories_lsr1_equals_reference_bits(self, d):
+        # a 1-D norm is sqrt(dot) at every length, where BLAS splits the sum
+        kinds = ["quadratic", "gaussian", "negative", "h0", "zero_y"] * 2 + ["quadratic"]
+        _, buf, _ = realize((d, 10, kinds, 0.5, d))
+        self.assert_lsr1_equals_reference(buf, 0.5)
+
+    @staticmethod
+    def assert_lsr1_equals_reference(buf, scale):
+        op = build("LSR1", buf, scale)
+        u, m, skipped, fallback = reference_lsr1(buf, scale)
+        assert op.u.tobytes() == u.tobytes() and op.m.tobytes() == m.tobytes()
+        assert (op.skipped, op.fallback) == (skipped, fallback)
 
     @settings(max_examples=200, deadline=None)
     @given(pair_histories())

@@ -455,8 +455,8 @@ class TestBlockedKernels:
     @settings(max_examples=150)
     @given(
         messy_problems(),
-        st.sampled_from([2, 3]),
-        st.sampled_from([1, 5]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 5, 10]),
         st.sampled_from([1.0, 1e3]),
         st.booleans(),
         st.randoms(use_true_random=False),
