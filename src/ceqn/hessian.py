@@ -29,7 +29,7 @@ KIND_EXACT = "EXACT"
 STRATEGY_HISTORY = "HISTORY"
 STRATEGY_SAMPLED = "SAMPLED"
 
-# the pair safeguards' tolerances, as _build_lsr1 and _build_lbfgs use them
+# the pair safeguards' tolerances, read by _build_lsr1 and _build_lbfgs
 SR1_SKIP_TOL = 1e-8
 BFGS_CURVATURE_TOL = 1e-12
 
@@ -146,12 +146,12 @@ class LowRankOperator:
         return self.scale * g + (self.m @ (self.u @ g)) @ self.u
 
 
-def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOperator:
+def _build_lsr1(pairs: PairBuffer, scale: float) -> LowRankOperator:
     """Limited-memory SR1 from H0 = scale * I over the pairs, oldest first.
 
     Pair i contributes v_i v_i^T / (v_i^T y_i) with v_i = s_i - H_{i-1} y_i,
     H_{i-1} being the operator built from the pairs kept before it. A pair is
-    skipped when s_i or y_i vanishes, or when |v_i^T y_i| <= skip_tol ||v_i||
+    skipped when s_i or y_i vanishes, or when |v_i^T y_i| <= SR1_SKIP_TOL ||v_i||
     ||y_i||, the standard SR1 safeguard against a vanishing denominator, or
     when its weight 1 / v_i^T y_i is not finite. The kept v_i are the rows of
     U and M = diag(1 / v_i^T y_i), so U and M are finite.
@@ -169,7 +169,7 @@ def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOper
         kept, vk = v[:k], v[k]
         np.subtract(s, scale * y + (inv_vty[:k] * (kept @ y)) @ kept, out=vk)
         vty = float(vk @ y)
-        if abs(vty) <= skip_tol * math.sqrt(vk @ vk) * math.sqrt(y @ y):
+        if abs(vty) <= SR1_SKIP_TOL * math.sqrt(vk @ vk) * math.sqrt(y @ y):
             continue
         # a subnormal v^T y has no finite weight, and a v that overflowed
         # has no finite v^T y: either would put inf or NaN into U or M
@@ -179,10 +179,10 @@ def _build_lsr1(pairs: PairBuffer, scale: float, skip_tol: float) -> LowRankOper
     return LowRankOperator(scale, v[:k], np.diag(inv_vty[:k]), n - k, n > 0 and k == 0)
 
 
-def _build_lbfgs(pairs: PairBuffer, scale: float, curvature_tol: float) -> LowRankOperator:
+def _build_lbfgs(pairs: PairBuffer, scale: float) -> LowRankOperator:
     """Limited-memory BFGS in compact form over the positive-curvature pairs.
 
-    Pairs with s^T y <= curvature_tol ||s|| ||y|| are dropped, preserving
+    Pairs with s^T y <= BFGS_CURVATURE_TOL ||s|| ||y|| are dropped, preserving
     positive definiteness. With the kept pairs as rows S, Y, oldest first,
     R = triu(S Y^T), D = diag(S Y^T) and H0 = gamma * I scaled by the newest
     kept pair, gamma = s^T y / y^T y:
@@ -198,7 +198,7 @@ def _build_lbfgs(pairs: PairBuffer, scale: float, curvature_tol: float) -> LowRa
     sy = s @ y.T
     yy = y @ y.T
     sty = np.diag(sy)
-    floor = curvature_tol * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(np.diag(yy))
+    floor = BFGS_CURVATURE_TOL * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(np.diag(yy))
     order = pairs.order()
     kept = order[sty[order] > floor[order]]
     if kept.size == 0:
@@ -245,9 +245,9 @@ class DenseInverseOperator:
 def rebuild_operator(config: ApproxConfig, pairs: PairBuffer) -> LowRankOperator:
     """Build the configured limited-memory operator from the buffered pairs."""
     if config.kind == KIND_LSR1:
-        return _build_lsr1(pairs, config.h0_scale, SR1_SKIP_TOL)
+        return _build_lsr1(pairs, config.h0_scale)
     if config.kind == KIND_LBFGS:
-        return _build_lbfgs(pairs, config.h0_scale, BFGS_CURVATURE_TOL)
+        return _build_lbfgs(pairs, config.h0_scale)
     raise ValueError(
         f"operator kind {config.kind!r} is not pair-based; build it in the driver"
     )

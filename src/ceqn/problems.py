@@ -358,15 +358,17 @@ class LogisticProblem:
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         """Rows H(x) v_i: one pass over the row blocks for the weights
         sigmoid(t) (1 - sigmoid(t)) / n and the weighted products with the
-        directions, then one pass over the transposed blocks, as in
-        ``gradient``, for ``design.T`` times the weighted products.
+        directions, then one sparse mat-mat with ``design.T``.
+
+        The product with ``design.T`` runs on this thread through the CSC
+        view, not the transposed copy: with a handful of directions the view
+        is the faster of the two.
         """
         _check_dim(x, self.dimension)
         _check_batch(V, self.dimension)
         vt = np.ascontiguousarray(V.T)
         weights = np.empty(self.n)
         weighted = np.empty((self.n, V.shape[0]))
-        product = np.empty((self.dimension, V.shape[0]))
 
         def rows(out, block, t, e):
             w = weights[out]
@@ -375,12 +377,8 @@ class LogisticProblem:
             np.divide(w, self.n, out=w)
             np.multiply(w[:, None], block @ vt, out=weighted[out])
 
-        def cols(out, block_t):
-            product[out] = block_t @ weighted
-
         self._per_sample(x, rows)
-        self._run(cols, self._cols)
-        return product.T + self.mu * V
+        return (self.design.T @ weighted).T + self.mu * V
 
 
 class QuadraticProblem:

@@ -95,7 +95,7 @@ class StepResult:
 
     ``f_next``/``g_next`` carry evaluations the acceptance loop already paid
     for, so the driver never re-evaluates them. ``cap_hit`` marks a step taken
-    despite the acceptance test still failing at the inner-loop cap.
+    while the acceptance test still fails (see ``adaptive_iteration``).
     """
 
     x_next: Vector
@@ -242,8 +242,10 @@ def adaptive_iteration(
 
     Grows alpha by gamma_inc and retries the trial step while the configured
     acceptance test rejects, up to max_inner retries; at the cap the last
-    trial is taken and flagged. ``grad_tol`` is the run's ||g||^2 bound,
-    passed to ``check_dual``. Returns the step plus the alpha to carry into
+    trial is taken and flagged. A rejected trial equal to x_k is taken and
+    flagged too: a larger alpha only shortens the step, so every later trial
+    would be x_k as well. ``grad_tol`` is the run's ||g||^2 bound, passed to
+    ``check_dual``. Returns the step plus the alpha to carry into
     the next outer iteration (decayed by gamma_dec after success).
     """
     if alpha_in <= 0:
@@ -262,7 +264,7 @@ def adaptive_iteration(
         else:
             g_next = oracle.gradient(x_next)
             rejected = check_dual(g_next, x_k, x_next, operator, alpha, params.cubic, grad_tol)
-        if not rejected or inner >= params.max_inner:
+        if not rejected or inner >= params.max_inner or (x_next == x_k).all():
             break
         alpha *= params.gamma_inc
         inner += 1

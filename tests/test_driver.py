@@ -293,16 +293,25 @@ class TestTraceIntegrity:
         prob = random_logistic(rng, n=100, d=10)
         # this run reaches ||g||^2 ~ 1e-26 at iteration 12; beyond that the
         # DUAL test, with no stationarity shortcut at grad_tol 0, decides on
-        # round-off and the run ends STATIONARY
-        result = run_solver(prob, adaptive_config("DUAL", max_iters=10, grad_tol=0.0))
-        assert result.termination == "MAX_ITERS"
-        assert len(result.trace) == 10
+        # round-off, retries, and the run ends STATIONARY at a trial that no
+        # longer moves x
+        config = adaptive_config("DUAL", max_iters=40, grad_tol=0.0)
+        result = run_solver(prob, config)
+        assert result.termination == "STATIONARY"
+        assert len(result.trace) < 40
         last = result.trace[-1]
+        assert 0 < last.inner_count < config.engine.max_inner
         assert (last.n_value, last.n_grad, last.n_hvp) == (
             result.n_value, result.n_grad, result.n_hvp,
         )
+        # one value at x_next, one gradient per trial and m probes per
+        # iteration, after the value and gradient at x0
+        counts = [(1, 1, 0)] + [(r.n_value, r.n_grad, r.n_hvp) for r in result.trace]
+        steps = [tuple(b - a for a, b in zip(*pair)) for pair in zip(counts, counts[1:])]
+        assert steps == [(1, 1 + r.inner_count, 10) for r in result.trace]
+        assert sum(r.inner_count for r in result.trace[12:]) > 0
         iters = [rec.iter for rec in result.trace]
-        assert iters == list(range(10))
+        assert iters == list(range(len(result.trace)))
         walls = [rec.wall_seconds for rec in result.trace]
         assert all(b >= a for a, b in zip(walls, walls[1:]))
 

@@ -386,6 +386,29 @@ class TestAdaptiveIteration:
         assert res.cap_hit
         assert res.inner_count == 5
 
+    def test_trial_that_does_not_move_x_ends_the_loop(self):
+        # steps of at most 1 against an ulp of x of 16384: every trial rounds
+        # back to x, so f makes none of the decrease REG asks for and
+        # <g+, x - x+> = 0 fails DUAL
+        class Flat:
+            dimension = 2
+
+            def value(self, x):
+                return 1.0
+
+            def gradient(self, x):
+                return np.array([1.0, 0.0])
+
+        x = np.full(2, 1e20)
+        for mode in ("DUAL", "REG"):
+            oracle = CountingOracle(Flat())
+            params = AdaptiveParams(cubic=1.0, mode=mode, max_inner=30)
+            res, _ = adaptive_iteration(
+                params, oracle, IdentityOperator(), x, oracle.gradient(x), 1.0, 1.0, 0.0
+            )
+            np.testing.assert_array_equal(res.x_next, x)
+            assert res.cap_hit and res.inner_count == 0, mode
+
     def test_alpha_nondecreasing_and_rep_bound_without_decay(self, rng):
         prob = random_logistic(rng, n=60, d=8)
         oracle = CountingOracle(prob)
