@@ -42,11 +42,10 @@ from .steps import (
     IndefiniteOperatorError,
     StepResult,
     adaptive_iteration,
-    adaptive_stepsize,
     ceqn_step,
-    ceqn_stepsize,
     check_dual,
     check_reg,
+    damped_stepsize,
     dual_norm,
     fixed_step_iteration,
 )

@@ -51,12 +51,15 @@ _SUMMARY_ROW_KEYS = ("seed", "termination", "iterations", "final_f", "final_grad
 @dataclass
 class GridSpec:
     """One swept parameter and its explicit value list, each value typed as
-    the parameter's config key takes it."""
+    the parameter's config key takes it. The seed is not a parameter: a
+    sweep's seeds are its own list, and ``children`` sets each child's."""
 
     parameter: str
     values: list[float | int]
 
     def __post_init__(self):
+        if self.parameter == "seed":
+            raise ConfigError("grid cannot sweep 'seed'; list the seeds with --seeds")
         if not self.values:
             raise ValueError("grid must be nonempty")
         if not all(math.isfinite(v) for v in self.values):
@@ -262,24 +265,26 @@ def _iterations_to_target(run: dict, target: float) -> float:
 
 def _load_run_sets(directories: list[str]) -> list[dict]:
     """Every run's summary under the directories, with its ``status``, as
-    ``_run_one`` reports it, and its trace records as ``trace``."""
-    runs = []
+    ``_run_one`` reports it, and its trace records as ``trace``. A summary
+    reached through more than one directory is read once."""
+    paths: dict[Path, None] = {}
     for directory in directories:
-        base = Path(directory)
-        summaries = sorted(base.rglob("summary.json"))
+        summaries = sorted(Path(directory).rglob("summary.json"))
         if not summaries:
             raise FileNotFoundError(f"no summary.json found under {directory}")
-        for summary_path in summaries:
-            with open(summary_path, "r", encoding="utf-8") as fh:
-                summary = json.load(fh)
-            trace_path = summary_path.parent / "trace.csv"
-            if not trace_path.exists():
-                raise FileNotFoundError(f"missing trace next to {summary_path}")
-            failed = summary["termination"] == TERM_NUMERICAL_FAILURE
-            runs.append(
-                summary
-                | {"status": "failed" if failed else "ok", "trace": read_trace_csv(trace_path)}
-            )
+        paths.update(dict.fromkeys(path.resolve() for path in summaries))
+    runs = []
+    for summary_path in paths:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        trace_path = summary_path.parent / "trace.csv"
+        if not trace_path.exists():
+            raise FileNotFoundError(f"missing trace next to {summary_path}")
+        failed = summary["termination"] == TERM_NUMERICAL_FAILURE
+        runs.append(
+            summary
+            | {"status": "failed" if failed else "ok", "trace": read_trace_csv(trace_path)}
+        )
     return runs
 
 
@@ -369,9 +374,6 @@ def render_compare_text(report: dict) -> str:
 
 
 def cmd_compare(args) -> int:
-    if len(args.directories) < 2:
-        print("error: compare needs at least two run sets", file=sys.stderr)
-        return 2
     try:
         report = build_compare_report(args.directories)
     except (OSError, ValueError, KeyError) as exc:

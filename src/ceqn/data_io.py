@@ -31,15 +31,7 @@ from typing import IO, Iterable, Iterator, NoReturn, get_type_hints
 import numpy as np
 import scipy.sparse as sp
 
-from .driver import (
-    METHOD_ADAPTIVE_DUAL,
-    METHOD_CEQN,
-    METHOD_FIXED,
-    METHODS,
-    RunResult,
-    SolverConfig,
-    TraceRecord,
-)
+from .driver import RunResult, SolverConfig, TraceRecord
 from .hessian import ApproxConfig
 from .problems import LogisticProblem, QuadraticProblem, tridiagonal_quadratic
 from .steps import MODE_DUAL, MODE_REG, AdaptiveParams, CeqnParams
@@ -468,32 +460,38 @@ def write_summary_json(
     return summary
 
 
+METHOD_CEQN = "CEQN"
+METHOD_ADAPTIVE_DUAL = "ADAPTIVE_DUAL"
+METHOD_ADAPTIVE_REG = "ADAPTIVE_REG"
+METHOD_FIXED = "FIXED"
+METHODS = (METHOD_CEQN, METHOD_ADAPTIVE_DUAL, METHOD_ADAPTIVE_REG, METHOD_FIXED)
+
 PROBLEM_LOGISTIC = "logistic"
 PROBLEM_QUADRATIC = "quadratic"
 
-# key -> (allowed types, default); None default means required-if-applicable
+# key -> (allowed types, default); None default means required-if-applicable.
+# A solver setting's default is its dataclass field's.
 _SPEC_SCHEMA: dict[str, tuple[tuple[type, ...], object]] = {
     "method": ((str,), None),
     "problem": ((str,), PROBLEM_LOGISTIC),
     "dataset": ((str,), None),
     "mu": ((float, int), 1e-4),
     "dimension": ((int,), None),
-    "approx_kind": ((str,), "LSR1"),
-    "pair_strategy": ((str,), "SAMPLED"),
-    "memory": ((int,), 10),
-    "h0_scale": ((float, int), 1e-4),
-    "theta": ((float, int), 1.0),
+    "approx_kind": ((str,), ApproxConfig.kind),
+    "pair_strategy": ((str,), ApproxConfig.pair_strategy),
+    "memory": ((int,), ApproxConfig.memory),
+    "h0_scale": ((float, int), ApproxConfig.h0_scale),
+    "theta": ((float, int), CeqnParams.theta),
     "cubic": ((float, int), None),
-    "stepsize_form": ((str,), "STANDARD"),
-    "alpha0": ((float, int), 1.0),
-    "gamma_inc": ((float, int), 2.0),
-    "gamma_dec": ((float, int), 0.5),
-    "max_inner": ((int,), 30),
-    "max_iters": ((int,), 500),
-    "grad_tol": ((float, int), 1e-12),
+    "alpha0": ((float, int), AdaptiveParams.alpha0),
+    "gamma_inc": ((float, int), AdaptiveParams.gamma_inc),
+    "gamma_dec": ((float, int), AdaptiveParams.gamma_dec),
+    "max_inner": ((int,), AdaptiveParams.max_inner),
+    "max_iters": ((int,), SolverConfig.max_iters),
+    "grad_tol": ((float, int), SolverConfig.grad_tol),
     "max_seconds": ((float, int), None),
-    "seed": ((int,), 0),
-    "x0": ((str, list), "ALL_ONES"),
+    "seed": ((int,), SolverConfig.seed),
+    "x0": ((str, list), SolverConfig.x0),
 }
 
 
@@ -524,11 +522,7 @@ class RunSpec:
         )
         method = v["method"]
         if method == METHOD_CEQN:
-            engine = CeqnParams(
-                theta=v["theta"],
-                cubic=v.get("cubic", 0.0),
-                stepsize_form=v["stepsize_form"],
-            )
+            engine = CeqnParams(theta=v["theta"], cubic=v.get("cubic", 0.0))
         elif method == METHOD_FIXED:
             engine = v["cubic"]
         else:
@@ -540,7 +534,6 @@ class RunSpec:
                 mode=MODE_DUAL if method == METHOD_ADAPTIVE_DUAL else MODE_REG,
                 max_inner=v["max_inner"],
             )
-        x0 = v["x0"]
         return SolverConfig(
             engine=engine,
             approx=approx,
@@ -548,7 +541,7 @@ class RunSpec:
             grad_tol=v["grad_tol"],
             max_seconds=v.get("max_seconds", math.inf),
             seed=v["seed"],
-            x0=x0 if isinstance(x0, str) else np.asarray(x0, dtype=np.float64),
+            x0=v["x0"],
         )
 
     def load_problem(self):

@@ -39,12 +39,6 @@ from .steps import (
     fixed_step_iteration,
 )
 
-METHOD_CEQN = "CEQN"
-METHOD_ADAPTIVE_DUAL = "ADAPTIVE_DUAL"
-METHOD_ADAPTIVE_REG = "ADAPTIVE_REG"
-METHOD_FIXED = "FIXED"
-METHODS = (METHOD_CEQN, METHOD_ADAPTIVE_DUAL, METHOD_ADAPTIVE_REG, METHOD_FIXED)
-
 TERM_GRAD_TOL = "GRAD_TOL"
 TERM_MAX_ITERS = "MAX_ITERS"
 TERM_TIMEOUT = "TIMEOUT"
@@ -162,12 +156,11 @@ def _start_point(config: SolverConfig, dimension: int) -> Vector:
         if config.x0 == X0_ALL_ONES:
             return np.ones(dimension)
         return np.zeros(dimension)
-    x0 = np.asarray(config.x0, dtype=np.float64)
-    if x0.shape != (dimension,):
+    if config.x0.shape != (dimension,):
         raise ValueError(
-            f"explicit start point has shape {x0.shape}, expected ({dimension},)"
+            f"explicit start point has shape {config.x0.shape}, expected ({dimension},)"
         )
-    return x0.copy()
+    return config.x0.copy()
 
 
 def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:

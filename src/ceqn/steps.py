@@ -2,10 +2,12 @@
 
 The closed-form engine damps a quasi-Newton step by
 eta = 2 / (theta + sqrt(theta^2 + L * ||g||*)) where ||g||* is the gradient
-norm dual to the current curvature operator. The adaptive engines replace
-(theta, L) with a single inexactness level alpha that is grown geometrically
-until a per-step acceptance test passes and optionally decayed after success.
-The fixed engine is the classical baseline x+ = x - (1/L) H g.
+norm dual to the current curvature operator. The adaptive engines take the
+same form at theta = 1 + alpha, L = (1 + alpha)^{3/2} * cubic, with a single
+inexactness level alpha that is grown geometrically until a per-step
+acceptance test passes and optionally decayed after success; both call
+``damped_stepsize``. The fixed engine is the classical baseline
+x+ = x - (1/L) H g.
 
 ``SolverConfig.engine`` holds one engine's parameters (``CeqnParams``,
 ``AdaptiveParams``, or the fixed engine's L as a float), and the driver
@@ -22,8 +24,6 @@ from dataclasses import dataclass, field
 
 from .problems import CountingOracle, Vector
 
-FORM_STANDARD = "STANDARD"
-FORM_EXACT_ROOT = "EXACT_ROOT"
 MODE_DUAL = "DUAL"
 MODE_REG = "REG"
 
@@ -38,24 +38,16 @@ class IndefiniteOperatorError(RuntimeError):
 
 @dataclass
 class CeqnParams:
-    """Closed-form schedule constants: damping theta > 0 and cubic weight >= 0.
-
-    ``stepsize_form`` selects the radicand: STANDARD uses theta^2 + cubic*gdual,
-    EXACT_ROOT uses theta^2 + 4*cubic*gdual (the exact root of
-    cubic*gdual*eta^2 + theta*eta - 1 = 0). Both keep eta in (0, 1/theta].
-    """
+    """Closed-form schedule constants: damping theta > 0 and cubic weight >= 0."""
 
     theta: float = 1.0
     cubic: float = 0.0
-    stepsize_form: str = FORM_STANDARD
 
     def __post_init__(self):
         if self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if self.cubic < 0:
             raise ValueError(f"cubic must be nonnegative, got {self.cubic}")
-        if self.stepsize_form not in (FORM_STANDARD, FORM_EXACT_ROOT):
-            raise ValueError(f"unknown stepsize form {self.stepsize_form!r}")
 
 
 @dataclass
@@ -126,16 +118,30 @@ def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
     return math.sqrt(max(ghg, 0.0)), hg
 
 
-def ceqn_stepsize(params: CeqnParams, gdual: float) -> float:
-    """Closed-form damped stepsize; equals 1/theta exactly at gdual = 0."""
-    if gdual < 0:
-        raise ValueError(f"gdual must be nonnegative, got {gdual}")
-    lg = params.cubic * gdual
-    if params.stepsize_form == FORM_EXACT_ROOT:
-        lg *= 4.0
+def damped_stepsize(theta: float, lg: float) -> float:
+    """The damped stepsize eta = 2 / (theta + sqrt(theta^2 + lg)).
+
+    Every engine but the fixed one steps with it: CEQN at (theta, cubic *
+    gdual), the adaptive loop at (c, c^{3/2} * cubic * gdual) with c = 1 +
+    alpha. eta lies in (0, 1/theta], does not increase with lg, and equals
+    1/theta exactly at lg = 0.
+
+    eta is the positive root of R(eta) = (lg/4) eta^2 + theta eta - 1.
+    Rounding bound, with u = 2^-53 and lg normal: the five operations give
+    the computed eta' = eta (1 + d) with |d| <= 4u + O(u^2), all terms being
+    nonnegative. As (lg/4) eta^2 = 1 - theta eta with 0 < theta eta <= 1,
+    R(eta') = d ((1 - theta eta)(2 + d) + theta eta), so |R(eta')| <= 8u +
+    O(u^2). Evaluating R in floating point adds at most 4u: each term is at
+    most 1, (lg/4) eta'^2 carries two roundings, theta eta' one and their
+    sum one, and the final subtraction of 1 is exact: a computed residual is
+    at most 12u + O(u^2).
+    """
+    if theta <= 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    if lg < 0:
+        raise ValueError(f"lg must be nonnegative, got {lg}")
     if lg == 0.0:
-        return 1.0 / params.theta
-    theta = params.theta
+        return 1.0 / theta
     return 2.0 / (theta + math.sqrt(theta * theta + lg))
 
 
@@ -148,7 +154,7 @@ def ceqn_step(
 ) -> StepResult:
     """One closed-form iteration: x+ = x - eta * H g."""
     gdual, hg = dual_norm(operator, g_k)
-    eta = ceqn_stepsize(params, gdual)
+    eta = damped_stepsize(params.theta, params.cubic * gdual)
     return StepResult(
         x_next=x_k - eta * hg,
         eta=eta,
@@ -156,24 +162,6 @@ def ceqn_step(
         inner_count=0,
         dual_norm_before=gdual,
     )
-
-
-def adaptive_stepsize(cubic: float, alpha: float, gdual: float) -> float:
-    """Adaptive damped stepsize at inexactness level alpha.
-
-    eta = 2 / ((1+a) + sqrt((1+a)^2 + (1+a)^{3/2} * cubic * gdual)); equals
-    1/(1+a) exactly at gdual = 0 and coincides with the closed-form STANDARD
-    stepsize at theta = 1 in the a -> 0 limit.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if gdual < 0:
-        raise ValueError(f"gdual must be nonnegative, got {gdual}")
-    c = 1.0 + alpha
-    lg = c**1.5 * cubic * gdual
-    if lg == 0.0:
-        return 1.0 / c
-    return 2.0 / (c + math.sqrt(c * c + lg))
 
 
 def check_dual(
@@ -254,7 +242,8 @@ def adaptive_iteration(
     alpha = alpha_in
     inner = 0
     while True:
-        eta = adaptive_stepsize(params.cubic, alpha, gdual)
+        c = 1.0 + alpha
+        eta = damped_stepsize(c, c**1.5 * params.cubic * gdual)
         x_next = x_k - eta * hg
         f_next: float | None = None
         g_next: Vector | None = None

@@ -29,7 +29,7 @@ from ceqn.steps import (
     IndefiniteOperatorError,
     adaptive_iteration,
     ceqn_step,
-    ceqn_stepsize,
+    damped_stepsize,
     dual_norm,
 )
 
@@ -241,8 +241,7 @@ def test_criterion_06_exact_hessian_degenerate_cases():
         ):
             one_step_ok = False
     eta_exact = all(
-        ceqn_stepsize(CeqnParams(theta=theta, cubic=rng.uniform(0.0, 5.0)), 0.0)
-        == 1.0 / theta
+        damped_stepsize(theta, rng.uniform(0.0, 5.0) * 0.0) == 1.0 / theta
         for theta in (1.0, 0.3, 1.7, 4.0)
     )
     report(

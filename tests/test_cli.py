@@ -77,9 +77,11 @@ class TestRun:
             {"method": "CEQN", "cubic": math.nan, "max_iters": 5},
             {"method": "ADAPTIVE_REG", "cubic": math.inf, "max_iters": 5},
             {"method": "FIXED", "cubic": 10.0, "x0": [1.0] * 59 + [-math.inf]},
-            # the echo of an older summary.json, which held the safeguard tolerances
+            # the echo of an older summary.json, which held the safeguard
+            # tolerances and the CEQN radicand switch
             {"method": "FIXED", "cubic": 10.0, "sr1_skip_tol": 1e-8},
             {"method": "FIXED", "cubic": 10.0, "bfgs_curvature_tol": 1e-12},
+            {"method": "CEQN", "cubic": 1.0, "stepsize_form": "STANDARD"},
         ],
     )
     def test_rejected_config_exits_2_naming_the_key(self, config, tmp_path, capsys):
@@ -392,6 +394,16 @@ class TestGrid:
         ]
         assert all(isinstance(row["cubic"], float) for row in report["rows"])
 
+    def test_seed_grid_exits_2_before_any_run(self, short_fixed_config, tmp_path, capsys):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            "--param", "seed", "--values", "5,6", "--seeds", "0",
+        ])
+        assert code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):
             GridSpec("cubic", [])
@@ -437,7 +449,7 @@ class TestCompare:
     def test_self_comparison_has_identical_columns(self, fixed_config, tmp_path, capsys):
         out = tmp_path / "runs"
         main(["run", "--config", str(fixed_config), "--out", str(out), "--run-id", "one"])
-        report = build_compare_report([str(out), str(out)])
+        report = build_compare_report([str(out)])
         assert len(report["methods"]) == 1
         text = render_compare_text(report)
         assert "FIXED" in text
@@ -497,13 +509,26 @@ class TestCompare:
         rows[3] = ",".join(fields)
         trace.write_text("\n".join([header, *rows]) + "\n")
         capsys.readouterr()
-        code = main(["compare", str(out), str(out)])
+        code = main(["compare", str(out)])
         assert code == 2
         assert f"line 5: column '{column}'" in capsys.readouterr().err
 
-    def test_compare_requires_two_sets(self, tmp_path, capsys):
-        code = main(["compare", str(tmp_path)])
-        assert code == 2
+    def test_compare_one_set_exits_0(self, fixed_config, tmp_path, capsys):
+        out = tmp_path / "runs"
+        for seed in ("0", "1"):
+            main(["run", "--config", str(fixed_config), "--out", str(out), "--seed", seed])
+        capsys.readouterr()
+        assert main(["compare", str(out)]) == 0
+        assert '"runs": 2' in capsys.readouterr().out
+
+    def test_a_set_named_twice_is_read_once(self, fixed_config, tmp_path, capsys):
+        out = tmp_path / "runs"
+        for seed in ("0", "1"):
+            main(["run", "--config", str(fixed_config), "--out", str(out), "--seed", seed])
+        once = build_compare_report([str(out)])
+        twice = build_compare_report([str(out), str(tmp_path / "." / "runs")])
+        assert once["methods"][0]["runs"] == 2
+        assert twice == once
 
     def test_compare_cli_emits_json_and_text(self, fixed_config, quadratic_config, tmp_path, capsys):
         a = tmp_path / "a"
@@ -525,7 +550,7 @@ class TestCompare:
         lines[2] = lines[2].rsplit(",", 1)[0]
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        code = main(["compare", str(out), str(out)])
+        code = main(["compare", str(out)])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
@@ -533,5 +558,5 @@ class TestCompare:
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "summary.json").write_text("{}")
-        code = main(["compare", str(bad), str(bad)])
+        code = main(["compare", str(bad)])
         assert code == 2

@@ -1,4 +1,4 @@
-"""README's Python examples run as written.
+"""README's Python examples run as written, and its config table is the schema.
 
 The ``python`` blocks run in order in one namespace, as a reader pastes them,
 inside a directory that holds a copy of the fixture at the path the examples
@@ -9,6 +9,8 @@ traceback points at its line in README.md.
 import re
 import shutil
 from pathlib import Path
+
+from ceqn.data_io import _SPEC_SCHEMA
 
 from conftest import FIXTURE_LIBSVM
 
@@ -43,3 +45,34 @@ def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch, capsys):
     # the last block writes the run's artifacts from run.json
     assert (tmp_path / "trace.csv").is_file()
     assert (tmp_path / "summary.json").is_file()
+
+
+def config_table():
+    """{key: default cell} of README's configuration key table; a row that
+    lists several keys lists their defaults in the same order."""
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^\| key \| meaning \| default \|\n\| --- .*\n((?:\|.*\n)+)", text, re.M)
+    assert table, "README has no configuration key table"
+    cells = {}
+    for row in table.group(1).splitlines():
+        keys, _, defaults = (cell.strip() for cell in row.strip("|").split("|"))
+        keys, defaults = keys.split(", "), defaults.split(", ")
+        assert len(keys) == len(defaults), row
+        cells.update(zip((key.strip("`") for key in keys), defaults))
+    return cells
+
+
+def test_readme_config_table_matches_the_schema():
+    cells = config_table()
+    assert sorted(cells) == sorted(_SPEC_SCHEMA)
+    for key, (_, default) in _SPEC_SCHEMA.items():
+        cell = cells[key]
+        if default is None:
+            assert cell.split()[0] in ("required", "inferred", "none"), (key, cell)
+            continue
+        assert cell.startswith("`") and cell.endswith("`"), (key, cell)
+        text = cell.strip("`")
+        if isinstance(default, str):
+            assert text == default, key
+        else:
+            assert float(text) == float(default), key

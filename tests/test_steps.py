@@ -17,11 +17,10 @@ from ceqn.steps import (
     CeqnParams,
     IndefiniteOperatorError,
     adaptive_iteration,
-    adaptive_stepsize,
     ceqn_step,
-    ceqn_stepsize,
     check_dual,
     check_reg,
+    damped_stepsize,
     dual_norm,
     fixed_step_iteration,
 )
@@ -70,63 +69,92 @@ class TestDualNorm:
             dual_norm(NonFinite(), np.array([1.0, 2.0]))
 
 
-class TestCeqnStepsize:
-    def test_zero_dual_norm_gives_inverse_theta_exactly(self):
+def adaptive_eta(cubic, alpha, gdual):
+    """The adaptive engine's stepsize at inexactness level alpha."""
+    c = 1.0 + alpha
+    return damped_stepsize(c, c**1.5 * cubic * gdual)
+
+
+U = 2.0**-53
+THETA = st.floats(min_value=1e-3, max_value=1e3)
+# lg = 0 or normal: the rounding bound and the x4 identity hold there
+LG = st.just(0.0) | st.floats(min_value=1e-200, max_value=1e200)
+# cubic * gdual and 4 * cubic * gdual stay normal
+FACTOR = st.floats(min_value=1e-90, max_value=1e90)
+
+
+def exact_root_stepsize(theta, cubic, gdual):
+    """The retired EXACT_ROOT stepsize, the root of
+    cubic*gdual*eta^2 + theta*eta - 1 = 0, as the library computed it."""
+    lg = cubic * gdual
+    lg *= 4.0
+    if lg == 0.0:
+        return 1.0 / theta
+    return 2.0 / (theta + math.sqrt(theta * theta + lg))
+
+
+class TestDampedStepsize:
+    def test_zero_lg_gives_inverse_theta_exactly(self):
         for theta in (1.0, 0.1, 2.5, 3.7):
-            assert ceqn_stepsize(CeqnParams(theta=theta), 0.0) == 1.0 / theta
+            assert damped_stepsize(theta, 0.0) == 1.0 / theta
 
-    def test_zero_cubic_gives_unit_step(self):
-        assert ceqn_stepsize(CeqnParams(theta=1.0, cubic=0.0), 17.3) == 1.0
+    def test_direct_evaluation(self):
+        # theta=1, lg = 3: 2 / (1 + sqrt(1 + 3)) = 2/3
+        assert damped_stepsize(1.0, 3.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        # the adaptive form at alpha=1, cubic=1, gdual=2 evaluated independently:
+        # 2 / (2 + sqrt(4 + 2^1.5 * 2)) = 0.3915773322812624
+        assert adaptive_eta(1.0, 1.0, 2.0) == pytest.approx(0.3915773322812624, abs=1e-16)
 
-    def test_paper_form_direct_evaluation(self):
-        # theta=1, cubic*gdual = 3: 2 / (1 + sqrt(1 + 3)) = 2/3
-        params = CeqnParams(theta=1.0, cubic=1.5)
-        assert ceqn_stepsize(params, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    @pytest.mark.parametrize("theta, lg", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300)])
+    def test_rejects_nonpositive_theta_and_negative_lg(self, theta, lg):
+        with pytest.raises(ValueError):
+            damped_stepsize(theta, lg)
 
-    def test_derivation_form_solves_quadratic(self):
-        params = CeqnParams(theta=1.3, cubic=0.8, stepsize_form="EXACT_ROOT")
-        gdual = 2.7
-        eta = ceqn_stepsize(params, gdual)
-        residual = params.cubic * gdual * eta**2 + params.theta * eta - 1.0
-        assert abs(residual) <= 1e-14
-
-    def test_range_and_monotonicity(self, rng):
-        for _ in range(50):
-            theta = float(rng.uniform(0.1, 5.0))
-            cubic = float(rng.uniform(0.0, 10.0))
-            g1, g2 = sorted(rng.uniform(0.0, 100.0, size=2))
-            for form in ("STANDARD", "EXACT_ROOT"):
-                params = CeqnParams(theta=theta, cubic=cubic, stepsize_form=form)
-                e1, e2 = ceqn_stepsize(params, g1), ceqn_stepsize(params, g2)
-                assert 0.0 < e2 <= e1 <= 1.0 / theta
-                bigger_l = CeqnParams(theta=theta, cubic=cubic + 1.0, stepsize_form=form)
-                assert ceqn_stepsize(bigger_l, g2) <= e2
-
-
-# ranges over which theta^2 + cubic * gdual stays finite
-POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
-GDUAL = st.floats(min_value=0.0, max_value=1e100)
-
-
-class TestStepsizeProperties:
-    @given(
-        theta=POSITIVE,
-        cubic=st.floats(min_value=0.0, max_value=1e3),
-        form=st.sampled_from(["STANDARD", "EXACT_ROOT"]),
-        gduals=st.lists(GDUAL, min_size=2, max_size=2),
-    )
-    def test_ceqn_bounded_and_nonincreasing(self, theta, cubic, form, gduals):
-        params = CeqnParams(theta=theta, cubic=cubic, stepsize_form=form)
-        low, high = sorted(gduals)
-        eta_low, eta_high = ceqn_stepsize(params, low), ceqn_stepsize(params, high)
+    @given(theta=THETA, lgs=st.lists(LG, min_size=2, max_size=2))
+    def test_bounded_and_nonincreasing(self, theta, lgs):
+        low, high = sorted(lgs)
+        eta_low, eta_high = damped_stepsize(theta, low), damped_stepsize(theta, high)
         assert 0.0 < eta_high <= eta_low <= 1.0 / theta
 
-    @given(cubic=POSITIVE, alpha=POSITIVE, gduals=st.lists(GDUAL, min_size=2, max_size=2))
-    def test_adaptive_bounded_and_nonincreasing(self, cubic, alpha, gduals):
-        low, high = sorted(gduals)
-        eta_low = adaptive_stepsize(cubic, alpha, low)
-        eta_high = adaptive_stepsize(cubic, alpha, high)
-        assert 0.0 < eta_high <= eta_low <= 1.0 / (1.0 + alpha)
+    @given(theta=THETA, lg=LG)
+    def test_solves_the_quadratic_within_the_rounding_bound(self, theta, lg):
+        eta = damped_stepsize(theta, lg)
+        residual = lg / 4.0 * (eta * eta) + theta * eta - 1.0
+        # 12u from the docstring's bound, plus room for its O(u^2) terms
+        assert abs(residual) <= 13 * U
+
+    @given(theta=THETA, cubic=FACTOR, gdual=st.just(0.0) | FACTOR)
+    def test_exact_root_is_the_standard_form_at_four_times_cubic(self, theta, cubic, gdual):
+        assert exact_root_stepsize(theta, cubic, gdual) == damped_stepsize(
+            theta, 4.0 * cubic * gdual
+        )
+
+    @given(theta=THETA, cubic=st.floats(0.0, 1e3), scale=st.floats(1e-3, 1e3))
+    def test_ceqn_step_takes_the_damped_stepsize(self, theta, cubic, scale):
+        prob = QuadraticProblem(np.diag([1.0, 3.0]), np.array([0.5, -2.0]))
+        oracle = CountingOracle(prob)
+        x = np.array([1.7, 0.3])
+        g = oracle.gradient(x)
+        res = ceqn_step(CeqnParams(theta=theta, cubic=cubic), oracle, ScaledIdentity(scale), x, g)
+        assert res.eta == damped_stepsize(theta, cubic * res.dual_norm_before)
+        np.testing.assert_array_equal(res.x_next, x - res.eta * (scale * g))
+
+    @given(
+        cubic=st.floats(1e-2, 1e2),
+        alpha0=st.floats(1e-3, 1e2),
+        scale=st.floats(1e-2, 1e2),
+        mode=st.sampled_from(["DUAL", "REG"]),
+    )
+    def test_adaptive_iteration_takes_the_damped_stepsize(self, cubic, alpha0, scale, mode):
+        prob = QuadraticProblem(np.diag([1.0, 3.0]), np.array([0.5, -2.0]))
+        oracle = CountingOracle(prob)
+        x = np.array([1.7, 0.3])
+        params = AdaptiveParams(cubic=cubic, alpha0=alpha0, mode=mode)
+        res, _ = adaptive_iteration(
+            params, oracle, ScaledIdentity(scale), x, oracle.gradient(x), oracle.value(x),
+            alpha0, GRAD_TOL,
+        )
+        assert res.eta == adaptive_eta(cubic, res.alpha_used, res.dual_norm_before)
 
 
 class TestAcceptanceAtLargeAlpha:
@@ -229,27 +257,6 @@ class TestCeqnStep:
         assert abs(step_norm - res.eta * res.dual_norm_before) <= 1e-10
 
 
-class TestAdaptiveStepsize:
-    def test_zero_dual_norm(self):
-        assert adaptive_stepsize(1.0, 0.5, 0.0) == 1.0 / 1.5
-
-    def test_alpha_to_zero_matches_paper_form_at_unit_theta(self):
-        gdual, cubic = 3.1, 0.7
-        limit = ceqn_stepsize(CeqnParams(theta=1.0, cubic=cubic), gdual)
-        assert adaptive_stepsize(cubic, 1e-12, gdual) == pytest.approx(limit, rel=1e-9)
-
-    def test_direct_evaluation(self):
-        # alpha=1, cubic=1, gdual=2 evaluated independently:
-        # 2 / (2 + sqrt(4 + 2^1.5 * 2)) = 0.3915773322812624
-        assert adaptive_stepsize(1.0, 1.0, 2.0) == pytest.approx(
-            0.3915773322812624, abs=1e-16
-        )
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            adaptive_stepsize(1.0, 0.0, 1.0)
-
-
 class TestCheckDual:
     def test_zero_gradient_accepts(self, rng):
         class Unusable:
@@ -266,7 +273,7 @@ class TestCheckDual:
         g = oracle.gradient(x)
         op = DenseInverseOperator(oracle, x)
         gd, hg = dual_norm(op, g)
-        eta = adaptive_stepsize(1.0, 1e-3, gd)
+        eta = adaptive_eta(1.0, 1e-3, gd)
         x_next = x - eta * hg
         assert not check_dual(oracle.gradient(x_next), x, x_next, op, 1e-3, 1.0, GRAD_TOL)
 
@@ -277,7 +284,7 @@ class TestCheckDual:
         op = ScaledIdentity(1e6)
         alpha, cubic = 1.0, 0.1
         gd, hg = dual_norm(op, g)
-        eta = adaptive_stepsize(cubic, alpha, gd)
+        eta = adaptive_eta(cubic, alpha, gd)
         x_next = x - eta * hg
         g_next = prob.gradient(x_next)
         assert check_dual(g_next, x, x_next, op, alpha, cubic, GRAD_TOL)
@@ -316,6 +323,15 @@ class TestCheckReg:
 
 
 class TestAdaptiveIteration:
+    def test_rejects_nonpositive_alpha(self):
+        oracle = CountingOracle(QuadraticProblem(np.eye(2), np.zeros(2)))
+        x = np.ones(2)
+        for alpha in (0.0, -0.5):
+            with pytest.raises(ValueError, match="alpha_in"):
+                adaptive_iteration(
+                    AdaptiveParams(), oracle, IdentityOperator(), x, x, 1.0, alpha, GRAD_TOL
+                )
+
     def test_exact_hessian_quadratic_alpha_never_grows(self, rng):
         prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
         oracle = CountingOracle(prob)
@@ -514,8 +530,6 @@ class TestParamValidation:
             CeqnParams(theta=0.0)
         with pytest.raises(ValueError):
             CeqnParams(cubic=-1.0)
-        with pytest.raises(ValueError):
-            CeqnParams(stepsize_form="EXACT")
 
     def test_adaptive_params(self):
         with pytest.raises(ValueError):
