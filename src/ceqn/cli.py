@@ -45,7 +45,11 @@ GRID_PRESETS: dict[str, list[float]] = {
 GRAD_TARGETS = (1e-4, 1e-6, 1e-8)
 
 # a grid row repeats these summary.json entries of its run, in this order
-_SUMMARY_ROW_KEYS = ("seed", "termination", "iterations", "final_f", "final_grad_norm_sq")
+# a row's wall_seconds is its run's, and null on an error row like the rest
+_SUMMARY_ROW_KEYS = (
+    "seed", "termination", "iterations", "final_f", "final_grad_norm_sq", "wall_seconds",
+)
+_STATUSES = ("ok", "failed", "error")
 
 
 @dataclass
@@ -211,6 +215,7 @@ def run_grid(
         "seeds": seeds,
         "method": spec["method"],
         "rows": rows,
+        "status_counts": {s: sum(row["status"] == s for row in rows) for s in _STATUSES},
         "winner": winner,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,7 +245,7 @@ def cmd_grid(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_grid(spec, grid, seeds, Path(args.out), loaded)
-    n_failed = sum(1 for r in report["rows"] if r["status"] != "ok")
+    n_failed = len(report["rows"]) - report["status_counts"]["ok"]
     if report["winner"] is None:
         print("error: every grid configuration failed", file=sys.stderr)
         return 1

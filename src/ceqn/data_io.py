@@ -5,10 +5,13 @@ strictly increasing indices, ``#`` comments, and blank lines; labels are
 remapped to {-1, +1} ({0,1} and {1,2} label sets are recognized). Numbers are
 ASCII decimals separated by spaces, tabs or a carriage return; an index is
 unsigned digits below 2^53. The reader parses one block of whole lines, about
-1 MB, at a time with numpy. A block that fails a check is run through the
-per-line checker, which raises the first error with its line number, so the
-reading stops within one block past a bad line and memory beyond the result
-is bounded by the block.
+1 MB, at a time with numpy. It decodes indices, labels and values from the
+block's bytes with integer arithmetic on 8-digit words, and a number it
+cannot prove exact, such as one longer than 24 bytes, goes to
+``np.fromstring``; every float equals Python's ``float`` of its text. A
+block that fails a check is run through the per-line checker, which raises
+the first error with its line number, so the reading stops within one block
+past a bad line and memory beyond the result is bounded by the block.
 
 Traces are written as CSV, one column per ``TraceRecord`` field in declaration
 order, with shortest-round-trip float text so a read-back recovers every
@@ -30,6 +33,7 @@ from typing import IO, Iterable, Iterator, NoReturn, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .driver import RunResult, SolverConfig, TraceRecord
 from .hessian import ApproxConfig
@@ -45,11 +49,64 @@ DATA_DIR_ENV = "CEQN_DATA_DIR"
 _BLOCK_BYTES = 1 << 20
 
 _MAX_INDEX = np.iinfo(np.int64).max
-# indices pass through float64, which holds every integer below 2^53 exactly
+# an index must be below 2^53, so that it is exact as a float64 too
 _MAX_EXACT_INDEX = 2**53 - 1
 # scipy stores CSR indices and offsets as int32 when every value fits, so
 # arrays built as int32 then reach the matrix without a copy
 _MAX_INT32 = np.iinfo(np.int32).max
+
+# A number, an index or an exponent is decoded from the 8, 16 or 24 bytes
+# that end with it, read as 1 to 3 little-endian words of 8 digit bytes
+_WORDS = 3
+_WINDOW = 8 * _WORDS
+_WINDOW_PAD = np.full(_WINDOW, ord(" "), dtype=np.uint8)
+
+
+def _lanes(byte: int) -> np.uint64:
+    """A word holding ``byte`` in each of its 8 bytes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+# item c keeps the last c bytes of a word
+_KEEP_LAST = np.array([(1 << 8 * c) - 1 << 64 - 8 * c for c in range(9)], dtype=np.uint64)
+# in a word of bytes below 0x80, adding 0x76 sets the top bit of each byte
+# of 10 or more, adding 0x7F that of each nonzero byte, and no carry
+# crosses bytes
+_TEN_CARRY, _NONZERO_CARRY, _BYTE_TOPS = _lanes(0x76), _lanes(0x7F), _lanes(0x80)
+_DOT = ord(".") ^ ord("0")
+_ASCII_ZEROS, _DOT_LANES = _lanes(ord("0")), _lanes(_DOT)
+# (mask, multiplier, shift) steps joining neighbouring runs of 1, 2 and 4
+# digits: 8 digit bytes become the integer they spell
+_SWAR_STEPS = tuple(
+    (np.uint64(keep), np.uint64(1 + (10**run << 8 * run)), np.uint64(8 * run))
+    for run, keep in ((1, 0x0F0F0F0F0F0F0F0F), (2, 0x00FF00FF00FF00FF), (4, 0x0000FFFF0000FFFF))
+)
+# a 0x01 at byte j of a word with m words after it, times the last-but-m
+# constant, puts in the top byte the count of bytes after it, 8m + 7 - j
+_BYTES_AFTER = np.array(
+    [int.from_bytes(bytes(range(8 * m, 8 * m + 8)), "little") for m in range(_WORDS)][::-1],
+    dtype=np.uint64,
+)
+_TOP_BYTE = np.uint64(56)
+# 24 digits spell less than 2^64 when their first 8 spell at most 1843
+_TOP_WORD_LIMIT = np.uint64(1844)
+_NINE, _TEN, _TEN_8 = np.uint64(9), np.uint64(10), np.uint64(10**8)
+_FLOAT64_EXACT = np.uint64(2**53)
+# divisors that take a dot's 0 out of a number's digits: 10^k for k places
+# after the dot, and for more than 19 places or no dot one above any digits
+_DOT_SCALES = np.array([10**k for k in range(20)] + [2**64 - 1], dtype=np.uint64)
+# 10^k up to the largest power a long double with a 64-bit significand holds
+# exactly, then -10^k for negative numbers; float64 holds them up to 10^22
+_MAX_POWER = 27
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_MAX_POWER + 1)] * 2)
+_POWERS_OF_TEN[_MAX_POWER + 1:] *= -1
+_LONG_POWERS_OF_TEN = np.cumprod(np.array([1] + [10] * _MAX_POWER, dtype=np.longdouble))
+_LONG_POWERS_OF_TEN = np.concatenate((_LONG_POWERS_OF_TEN, -_LONG_POWERS_OF_TEN))
+# whether long double arithmetic rounds to a 64-bit significand, as x87
+# extended precision does
+_EXTENDED_PRECISION = bool(
+    np.finfo(np.longdouble).nmant == 63 and np.longdouble(1) / 3 != np.float64(1) / 3
+)
 
 # outside comments a line holds ASCII decimal numbers, colons and these
 # separators; the newline ends it
@@ -232,12 +289,13 @@ def _parse_block(block: bytes, dimension: int | None):
         block = text.tobytes()
     if block.translate(None, _ALLOWED_BYTES):
         return None
-    space = text <= ord(" ")  # only separators and newlines are this low now
-    # the block starts a line, so a token starts at a non-space byte that
-    # opens the block or follows a space
-    begins = ~space
-    begins[1:] &= space[:-1]
-    starts = np.flatnonzero(begins)
+    # the windows of the first tokens reach back into the padding
+    padded = np.concatenate((_WINDOW_PAD, text))
+    space = padded <= ord(" ")  # only separators and newlines are this low now
+    # the padding and the final newline are spaces, so the edges between
+    # spaces and tokens alternate: a token's start, then its end
+    edges = np.flatnonzero(space[_WINDOW:] != space[_WINDOW - 1:-1])
+    starts, ends = edges[0::2], edges[1::2]
     newlines = np.flatnonzero(text == ord("\n"))
     # a line's first token is its label: the first token of the block and
     # the first after each newline, which a blank line repeats
@@ -247,46 +305,24 @@ def _parse_block(block: bytes, dimension: int | None):
     is_label = np.zeros(starts.size, dtype=bool)
     is_label[label_tokens] = True
     features = np.flatnonzero(~is_label)
-    # feature token j holds colon j after its index digits, checked below,
-    # so a label holds no colon and a feature token one
+    # feature token j holds colon j after its index digits, checked by
+    # _read_indices, so a label holds no colon and a feature token one
     colons = np.flatnonzero(text == ord(":"))
     if colons.size != features.size:
         return None
-    # no value is empty, so every token gives fromstring at least one number
-    if space[colons + 1].any():
+    if space[colons + (_WINDOW + 1)].any():  # no value is empty
         return None
-    # decode the unsigned decimal indices from their bytes, right-aligned at
-    # the colons, and blank them so that fromstring reads labels and values
-    width = colons - starts[features]
-    index = np.zeros(features.size)
-    numeric = text.copy()
-    numeric[colons] = ord(" ")
-    for shift in range(int(width.max(initial=0)), 0, -1):
-        at = colons - shift
-        inside = width >= shift
-        digit = text[at] - ord("0")  # bytes below '0' wrap above 9
-        if (inside & (digit > 9)).any():
-            return None
-        index = index * 10 + np.where(inside, digit, 0)
-        numeric[at[inside]] = ord(" ")
-    if features.size:
-        continues = ~is_label[features[1:] - 1]
-        if (continues & (index[1:] <= index[:-1])).any():
-            return None
-        high = _MAX_EXACT_INDEX if dimension is None else min(dimension, _MAX_EXACT_INDEX)
-        if index.min() < 1 or not index.max() <= high:
-            return None
-    if starts.size:
-        try:
-            with warnings.catch_warnings():
-                # older numpy warns and stops at unread text where newer numpy raises
-                warnings.simplefilter("error", DeprecationWarning)
-                numbers = np.fromstring(numeric.tobytes(), sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    else:
-        numbers = np.empty(0)  # fromstring reads whitespace alone as -1
-    if numbers.size != starts.size:  # so exactly one number per token
+    del space  # each array goes once used, to keep a block's peak memory low
+    continues = ~is_label[features[1:] - 1]
+    columns = _read_indices(block, padded, starts[features], colons, continues, dimension)
+    if columns is None:
+        return None
+    # a label is its whole token and a value the rest of its token after the
+    # colon: from here on, starts are the numbers'
+    starts[features] = colons + 1
+    del colons, continues
+    numbers = _read_numbers(block, text, padded, starts, ends)
+    if numbers is None:
         return None
     labels = numbers[is_label]
     value = numbers[features]
@@ -295,9 +331,235 @@ def _parse_block(block: bytes, dimension: int | None):
     if not np.isfinite(value).all():
         return None
     row_nnz = np.diff(label_tokens, append=starts.size) - 1
-    index -= 1
-    columns = index.astype(np.int32 if index.max(initial=0) <= _MAX_INT32 else np.int64)
     return labels, row_nnz, columns, value, newlines.size
+
+
+def _span_words(padded: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bytes before each of ``ends`` as words, with digits read as 0 to 9.
+
+    ``padded`` holds the text after ``_WINDOW`` bytes of padding. Row i
+    holds the 8, 16 or 24 text bytes before ``ends[i]``: as few words as
+    hold the longest span, at most 3. Each byte is XORed with ASCII '0',
+    which makes a digit its value and any other byte 10 or more, and the
+    bytes before a span of ``lengths[i]`` bytes are cleared, so that they
+    read as leading zeros. Byte j of word k is the row's byte 8k + j.
+    """
+    count = min(_WORDS, max(1, (int(lengths.max(initial=1)) + 7) // 8))
+    width = 8 * count
+    # one void item per window, so that a gather copies whole windows
+    windows = sliding_window_view(padded[_WINDOW - width:], width).view(f"V{width}")[:, 0]
+    words = windows[ends].view("<u8").reshape(-1, count)
+    words ^= _ASCII_ZEROS
+    for after, word in enumerate(words.T[::-1]):
+        word &= _KEEP_LAST[np.clip(lengths - 8 * after, 0, 8)]
+    return words
+
+
+def _spelled(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer that each row of ``_span_words`` spells, and where that holds.
+
+    A row holds if its every byte is a digit and its integer is below 2^64;
+    the integer of another row is garbage. Overwrites ``words``.
+    """
+    tops = words + _TEN_CARRY
+    tops &= _BYTE_TOPS
+    stray = tops[:, 0]
+    for word in tops.T[1:]:
+        stray |= word
+    digits = stray == 0
+    del tops, stray
+    for keep, multiplier, shift in _SWAR_STEPS:
+        words &= keep
+        words *= multiplier
+        words >>= shift
+    value = words[:, 0]
+    if words.shape[1] == _WORDS:
+        digits &= value < _TOP_WORD_LIMIT
+    for word in words.T[1:]:
+        value = value * _TEN_8 + word
+    return value, digits
+
+
+def _read_indices(
+    block: bytes,
+    padded: np.ndarray,
+    starts: np.ndarray,
+    colons: np.ndarray,
+    continues: np.ndarray,
+    dimension: int | None,
+) -> np.ndarray | None:
+    """The 0-based columns of feature tokens, or None if an index breaks a rule.
+
+    An index is the digits from its token's start to its colon, at least 1,
+    at most the pinned dimension and below 2^53, and above the index before
+    it where ``continues`` says the tokens share a line. An index longer
+    than a window must start with zeros alone.
+    """
+    widths = colons - starts
+    index, digits = _spelled(_span_words(padded, colons, widths))
+    if not digits.all():
+        return None
+    for begin, stop in zip(*(a[widths > _WINDOW].tolist() for a in (starts, colons - _WINDOW))):
+        if block[begin:stop].strip(b"0"):
+            return None
+    if index.size:
+        if (continues & (index[1:] <= index[:-1])).any():
+            return None
+        high = _MAX_EXACT_INDEX if dimension is None else min(dimension, _MAX_EXACT_INDEX)
+        if index.min() < 1 or not index.max() <= high:
+            return None
+    columns = index.astype(np.int32 if index.max(initial=0) <= _MAX_INT32 + 1 else np.int64)
+    columns -= 1
+    return columns
+
+
+def _read_numbers(
+    block: bytes, text: np.ndarray, padded: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray | None:
+    """The float64 of each number token, or None if one is not a number.
+
+    A token is a sign, a mantissa of digits with at most one dot, and an
+    exponent ``e`` or ``E``, sign and digits; the mantissa M is an integer
+    and the number M·10^-p, for an integer p. When M <= 2^53 and
+    |p| <= 22, both factors are exact float64s and one divide or multiply
+    rounds their quotient or product correctly (Clinger, "How to read
+    floating point numbers accurately", PLDI 1990). A long double with a
+    64-bit significand holds every M below 2^64 and 10^|p| for |p| <= 27,
+    so its one divide or multiply rounds once, to 64 bits. Rounding that
+    to float64 gives the correctly rounded float64 unless the 64-bit result
+    lies on a midpoint between two float64s, the one case in which the exact
+    result may lie on the other side of the midpoint. Those and every other
+    token, such as a mantissa or exponent longer than ``_WINDOW`` bytes, go
+    to one ``np.fromstring`` call, which rounds correctly.
+    """
+    first = text[starts]
+    negative = first == ord("-")
+    signed = negative | (first == ord("+"))
+    lengths = ends - starts
+    exact = np.ones(starts.size, dtype=bool)
+    power = np.zeros(starts.size, dtype=np.intp)
+    if b"e" in block or b"E" in block:
+        marks = np.flatnonzero((text | 0x20) == ord("e"))
+        marked = np.searchsorted(ends, marks, side="right")
+        if (np.diff(marked) == 0).any():  # two exponents make no number
+            return None
+        exponents = _read_exponents(text, padded, marks + 1, ends[marked])
+        if exponents is None:
+            return None
+        power[marked], exact[marked] = exponents
+        mantissa_ends = ends.copy()
+        mantissa_ends[marked] = marks
+        lengths = mantissa_ends - starts
+    else:
+        mantissa_ends = ends
+    # a sign is cleared with the bytes before the mantissa
+    words = _span_words(padded, mantissa_ends, lengths - signed)
+    dots, places = _take_dots(words)
+    if (dots > 1).any():  # two dots make no number
+        return None
+    if (lengths - signed - dots < 1).any():  # nor does a mantissa without digits
+        return None
+    spelled, digits = _spelled(words)
+    del words
+    exact &= digits & (lengths <= _WINDOW)
+    # with the dot read as 0, M' = 10^(k+1)·I + F where F < 10^k, so
+    # M' // 10^k = 10·I and M = M' - 9·10^k·I; a number without a dot, or
+    # with 20 places or more, which put its dot above every digit of
+    # M' < 2^64, is divided by 2^64 - 1 and kept
+    scale = _DOT_SCALES[np.where(dots == 1, np.minimum(places, _DOT_SCALES.size - 1), -1)]
+    whole = spelled // scale
+    whole //= _TEN
+    whole *= scale
+    whole *= _NINE
+    spelled -= whole
+    del scale, whole
+    power = places - power
+    exact &= np.abs(power) <= _MAX_POWER
+    # M / 10^p, or M·10^-p for p < 0 after a divide by 1; the divisor
+    # carries the sign, since M / -10^p is -(M / 10^p), also at M = 0
+    divisor = np.clip(power, 0, _MAX_POWER) + (_MAX_POWER + 1) * negative
+    grow = np.flatnonzero(power < 0)
+    factor = np.minimum(-power[grow], _MAX_POWER)
+    numbers = spelled.astype(np.float64)
+    numbers /= _POWERS_OF_TEN[divisor]
+    numbers[grow] *= _POWERS_OF_TEN[factor]
+    doubles = (spelled <= _FLOAT64_EXACT) & (np.abs(power) <= 22)
+    wide = np.flatnonzero(exact & ~doubles)
+    if _EXTENDED_PRECISION and wide.size:
+        result = spelled[wide].astype(np.longdouble)
+        result /= _LONG_POWERS_OF_TEN[divisor[wide]]
+        grown = np.flatnonzero(power[wide] < 0)
+        result[grown] *= _LONG_POWERS_OF_TEN[-power[wide[grown]]]
+        numbers[wide] = nearest = result.astype(np.float64)
+        # for the 64-bit result q and its float64 r, 2q - r is exact. It is
+        # a float64 when q is the midpoint of r and its neighbour, or r
+        # itself when q == r; these go to fromstring. Otherwise q is no
+        # midpoint, and r is the exact result correctly rounded
+        mirror = result * 2 - nearest
+        exact[wide[mirror.astype(np.float64) == mirror]] = False
+    else:
+        exact &= doubles
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        spans = map(slice, starts[rest].tolist(), ends[rest].tolist())
+        leftover = b" ".join(map(block.__getitem__, spans))
+        try:
+            with warnings.catch_warnings():
+                # older numpy warns and stops at unread text where newer numpy raises
+                warnings.simplefilter("error", DeprecationWarning)
+                read = np.fromstring(leftover, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+        if read.size != rest.size:  # so exactly one number per token
+            return None
+        numbers[rest] = read
+    return numbers
+
+
+def _read_exponents(text: np.ndarray, padded: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The exponents after each ``e``, or None if one has no digit.
+
+    An exponent is a sign and digits from ``starts`` to ``ends``. Returns
+    the exponents, clipped where too large for any exact path, and where
+    they are exact: only digits, within a window.
+    """
+    first = text[starts]
+    negative = first == ord("-")
+    signed = negative | (first == ord("+"))
+    lengths = ends - starts - signed
+    if (lengths < 1).any():
+        return None
+    value, digits = _spelled(_span_words(padded, ends, lengths))
+    exponent = np.minimum(value, np.uint64(2 * _MAX_POWER)).astype(np.intp)
+    return np.where(negative, -exponent, exponent), digits & (lengths <= _WINDOW)
+
+
+def _take_dots(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count of dots in each row of ``_span_words`` and the bytes after one.
+
+    Each dot, which reads as 0x1E, is turned into digit 0.
+    """
+    dots = words ^ _DOT_LANES
+    dots += _NONZERO_CARRY
+    np.invert(dots, out=dots)
+    dots &= _BYTE_TOPS
+    dots >>= np.uint64(7)  # 1 in each byte that held a dot
+    words -= dots * _DOT
+    count = _row_sums(dots)
+    count *= _lanes(1)  # adds up the bytes into the top byte
+    count >>= _TOP_BYTE
+    dots *= _BYTES_AFTER[_WORDS - dots.shape[1]:]
+    dots >>= _TOP_BYTE
+    return count.astype(np.intp), _row_sums(dots).astype(np.intp)
+
+
+def _row_sums(words: np.ndarray) -> np.ndarray:
+    """The sum of each row's words, wrapping; a loop over the few columns
+    outruns a reduction along the rows."""
+    total = words[:, 0].copy()
+    for word in words.T[1:]:
+        total += word
+    return total
 
 
 def _raise_first_error(block: bytes, first_line: int, dimension: int | None) -> NoReturn:

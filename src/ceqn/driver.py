@@ -78,9 +78,9 @@ class SolverConfig:
             raise ValueError(f"fixed_l must be positive, got {self.engine}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.max_seconds <= 0:
+        if not self.max_seconds > 0:
             raise ValueError(f"max_seconds must be positive, got {self.max_seconds}")
         if isinstance(self.x0, str):
             if self.x0 not in (X0_ALL_ONES, X0_ZERO):

@@ -51,7 +51,7 @@ class ApproxConfig:
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
-        if self.h0_scale <= 0:
+        if not self.h0_scale > 0:
             raise ValueError(f"h0_scale must be positive, got {self.h0_scale}")
         if self.kind not in (KIND_LSR1, KIND_LBFGS, KIND_EXACT):
             raise ValueError(f"unknown approximation kind {self.kind!r}")

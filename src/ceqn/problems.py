@@ -243,7 +243,7 @@ class LogisticProblem:
             )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
         if design.nnz and not np.all(np.isfinite(design.data)):
             raise ValueError("design matrix contains non-finite values")

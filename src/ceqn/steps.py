@@ -44,9 +44,9 @@ class CeqnParams:
     cubic: float = 0.0
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.cubic < 0:
+        if not self.cubic >= 0:
             raise ValueError(f"cubic must be nonnegative, got {self.cubic}")
 
 
@@ -67,11 +67,11 @@ class AdaptiveParams:
     max_inner: int = 30
 
     def __post_init__(self):
-        if self.cubic <= 0:
+        if not self.cubic > 0:
             raise ValueError(f"cubic must be positive, got {self.cubic}")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.gamma_inc <= 1:
+        if not self.gamma_inc > 1:
             raise ValueError(f"gamma_inc must exceed 1, got {self.gamma_inc}")
         if not 0 < self.gamma_dec <= 1:
             raise ValueError(f"gamma_dec must lie in (0, 1], got {self.gamma_dec}")

@@ -187,6 +187,11 @@ class TestGrid:
         statuses = {row["cubic"]: row["status"] for row in report["rows"]}
         assert statuses[1e-9] == "failed"
         assert report["winner"]["value"] == 10.0
+        assert report["status_counts"] == {"ok": 2, "failed": 2, "error": 0}
+        # a failed run keeps its partial result, and so its wall time
+        for row in report["rows"]:
+            summary = json.loads((out / row["run_id"] / "summary.json").read_text())
+            assert row["wall_seconds"] == summary["wall_seconds"] > 0
 
     def test_winner_selection_is_pure(self, fixed_config, tmp_path, capsys):
         out = tmp_path / "grid"
@@ -226,7 +231,9 @@ class TestGrid:
         assert [(row["cubic"], row["seed"]) for row in errors] == [(1.0, 1), (10.0, 1)]
         for row in errors:
             assert row["message"] == "MemoryError: probe buffer"
+            assert row["wall_seconds"] is None
             assert list((out / row["run_id"]).iterdir()) == []
+        assert report["status_counts"] == {"ok": 4, "failed": 0, "error": 2}
         assert all(row["status"] == "ok" for row in report["rows"] if row["seed"] != 1)
 
         # the winner and the compare report see only the runs that completed

@@ -401,6 +401,145 @@ class TestBlockParserAgainstLineLoop:
                 assert parse_outcome(parse_libsvm, list(lines)) == expected
 
 
+SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def decimal_text(draw):
+    """A sign, up to 26 digits with at most one dot, and maybe an exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=26))
+    dot = draw(st.integers(-1, len(digits)))  # -1: no dot
+    text = draw(SIGNS) + (digits if dot < 0 else f"{digits[:dot]}.{digits[dot:]}")
+    if draw(st.booleans()):
+        exponent = str(draw(st.integers(0, 400))).zfill(draw(st.integers(1, 4)))
+        text += draw(st.sampled_from("eE")) + draw(SIGNS) + exponent
+    return text
+
+
+@st.composite
+def long_decimal_text(draw):
+    """A sign and 16 to 25 digits with a dot among them."""
+    digits = draw(st.text("0123456789", min_size=16, max_size=25))
+    dot = draw(st.integers(0, len(digits)))
+    return f"{draw(SIGNS)}{digits[:dot]}.{digits[dot:]}"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER_TEXT = st.one_of(
+    FINITE.map(repr),  # every magnitude, subnormals and -0.0 included
+    st.tuples(FINITE, st.integers(1, 25)).map(lambda p: f"{p[0]:.{p[1]}g}"),
+    st.tuples(FINITE, st.integers(0, 25)).map(lambda p: f"{p[0]:.{p[1]}e}"),
+    long_decimal_text(),
+    decimal_text(),
+).filter(lambda text: math.isfinite(float(text)))
+
+# (text, whether it reaches np.fromstring, with and without a 64-bit long double)
+DECODER_ROUTES = [
+    ("0.5", False, False),
+    ("-1.25", False, False),
+    (".5", False, False),
+    ("5.", False, False),
+    ("+.25", False, False),
+    ("007.50", False, False),
+    ("-0.0", False, False),
+    ("1E+3", False, False),
+    ("25e-3", False, False),
+    ("9007199254740992", False, False),  # 2^53, a float64 divide
+    ("0.30000000000000004", False, True),  # M > 2^53
+    ("-1.0856306033005612", False, True),
+    ("1e22", False, False),
+    ("123456789012345678e5", False, True),  # M > 2^53, times 10^5
+    ("1e-23", False, True),  # 10^23 is exact in a long double only
+    ("1e23", True, True),  # the midpoint of two float64s
+    ("1.2e-5", False, False),
+    # 2^53 + 1 is a midpoint of two float64s, and so is the 64-bit quotient
+    ("9007199254740993", True, True),
+    # the 64-bit quotient rounds onto a midpoint that the exact one lies
+    # above: rounding it again to float64 would round down, to even
+    ("0.12500000002775558950", True, True),
+    ("9007199254740994", True, True),  # q == r, sent on with the midpoints
+    ("1234567890123456789012345", True, True),  # longer than a window
+    ("18446744073709551616", True, True),  # 2^64, too large for 64-bit digits
+    ("5e-324", True, True),  # a power of ten beyond 10^27
+    ("1.7976931348623157e308", True, True),
+    ("1e0000000000000000000000001", True, True),  # an exponent beyond a window
+]
+
+
+class TestExactDecimals:
+    """``parse_libsvm`` reads every number as ``float`` does, bit for bit."""
+
+    @staticmethod
+    def parsed_values(texts, extended=True):
+        line = "+1 " + " ".join(f"{j}:{text}" for j, text in enumerate(texts, start=1)) + "\n"
+        extended &= data_io._EXTENDED_PRECISION
+        with mock.patch.object(data_io, "_EXTENDED_PRECISION", extended):
+            return parse_libsvm(io.StringIO(line)).design.data
+
+    @settings(max_examples=300)
+    @given(st.lists(NUMBER_TEXT, min_size=1, max_size=30), st.booleans())
+    def test_values_equal_float_bit_for_bit(self, texts, extended):
+        expected = np.array([float(text) for text in texts])
+        assert self.parsed_values(texts, extended).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, leftover, leftover_without_extended", DECODER_ROUTES)
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_each_route(self, monkeypatch, text, leftover, leftover_without_extended, extended):
+        read = []
+        fromstring = np.fromstring
+
+        def spy(string, **kwargs):
+            read.append(string)
+            return fromstring(string, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        values = self.parsed_values([text], extended)
+        assert values.tobytes() == np.array([float(text)]).tobytes()
+        if extended and data_io._EXTENDED_PRECISION:
+            assert bool(read) == leftover
+        else:
+            assert bool(read) == leftover_without_extended
+
+    def test_double_rounding_would_miss_the_midpoint_case(self):
+        # the reason the midpoint goes on: one rounding to 64 bits and one to
+        # 53 give the float64 below, the exact quotient the one above
+        text = "0.12500000002775558950"
+        if not data_io._EXTENDED_PRECISION:
+            pytest.skip("long double has no 64-bit significand here")
+        twice = np.float64(np.longdouble(12500000002775558950) / data_io._LONG_POWERS_OF_TEN[20])
+        assert twice < float(text) == self.parsed_values([text])[0]
+
+    @pytest.mark.parametrize(
+        "label", ["+1", "1.0", "-1e0", "0.0E5", "2.", "10e-1", "+0001", "-.1e1"]
+    )
+    def test_label_spellings(self, label):
+        lines = [f"{label} 1:1\n", "1 2:1\n"]
+        got = parse_outcome(parse_libsvm, lines)
+        assert got[0] == "ok" and got == parse_outcome(line_loop_reference, lines)
+
+    def test_index_longer_than_a_window_with_leading_zeros(self):
+        ds = parse_libsvm(io.StringIO(f"+1 {'0' * 30}3:1 {'0' * 25}12:2\n"))
+        assert ds.design.indices.tolist() == [2, 11]
+        with pytest.raises(LibsvmParseError):
+            parse_libsvm(io.StringIO(f"+1 1{'0' * 29}3:1\n"))
+
+    def test_generated_files_equal_the_line_loop_without_extended_precision(self, tmp_path):
+        rng = np.random.default_rng(16)
+        lines = []
+        for _ in range(300):
+            cols = np.sort(rng.choice(500, size=8, replace=False)) + 1
+            values = rng.standard_normal(8) * 10.0 ** rng.integers(-8, 8, size=8)
+            lines.append(" ".join(["-1"] + [f"{c}:{v!r}" for c, v in zip(cols, values)]) + "\n")
+        path = tmp_path / "wide.libsvm"
+        path.write_text("".join(lines))
+        expected = parse_outcome(line_loop_reference, path)
+        for source in (path, FIXTURE_LIBSVM):
+            with mock.patch.object(data_io, "_EXTENDED_PRECISION", False):
+                without = parse_outcome(parse_libsvm, source)
+            assert without == parse_outcome(parse_libsvm, source)
+        assert parse_outcome(parse_libsvm, path) == expected
+
+
 def coo_reference(text, dimension):
     """CSR built from (row, col, value) triplets through COO, for clean input."""
     rows, cols, vals = [], [], []

@@ -342,6 +342,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="fixed_l must be positive"):
             SolverConfig(engine=0.0)
 
+    @pytest.mark.parametrize("name, build", [
+        ("theta", lambda: CeqnParams(theta=math.nan)),
+        ("cubic", lambda: CeqnParams(cubic=math.nan)),
+        ("cubic", lambda: AdaptiveParams(cubic=math.nan)),
+        ("alpha0", lambda: AdaptiveParams(alpha0=math.nan)),
+        ("gamma_inc", lambda: AdaptiveParams(gamma_inc=math.nan)),
+        ("h0_scale", lambda: ApproxConfig(h0_scale=math.nan)),
+        ("grad_tol", lambda: exact_newton_config(grad_tol=math.nan)),
+        ("max_seconds", lambda: exact_newton_config(max_seconds=math.nan)),
+        ("mu", lambda: LogisticProblem(sp.csr_matrix(np.eye(2)), [1.0, -1.0], math.nan)),
+    ])
+    def test_nan_setting_is_rejected(self, name, build):
+        # a range check written `x <= 0` lets NaN through
+        with pytest.raises(ValueError, match=name):
+            build()
+
     def test_explicit_x0_dimension_checked(self):
         cfg = exact_newton_config(x0=np.ones(4))
         with pytest.raises(ValueError, match="start point"):
