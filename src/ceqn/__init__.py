@@ -47,7 +47,6 @@ from .steps import (
     check_reg,
     damped_stepsize,
     dual_norm,
-    fixed_step_iteration,
 )
 
 __version__ = "0.1.0"

@@ -786,7 +786,8 @@ class RunSpec:
         if method == METHOD_CEQN:
             engine = CeqnParams(theta=v["theta"], cubic=v.get("cubic", 0.0))
         elif method == METHOD_FIXED:
-            engine = v["cubic"]
+            # the fixed step 1/L is the closed form at theta = L, cubic = 0
+            engine = CeqnParams(theta=v["cubic"], cubic=0.0)
         else:
             engine = AdaptiveParams(
                 cubic=v["cubic"],
@@ -872,6 +873,9 @@ def validate_spec(values: dict) -> RunSpec:
         raise ConfigError("missing required key 'dataset' for a logistic problem")
     if merged["method"] != METHOD_CEQN and "cubic" not in merged:
         raise ConfigError(f"missing required key 'cubic' for method {merged['method']}")
+    # written so that a NaN also fails the test
+    if merged["method"] == METHOD_FIXED and not merged["cubic"] > 0:
+        raise ConfigError(f"key 'cubic' must be positive for method FIXED, got {merged['cubic']}")
     spec = RunSpec(merged)
     try:
         spec.to_solver_config()  # surfaces engine-level validation errors early

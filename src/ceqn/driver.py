@@ -3,11 +3,12 @@
 One driver owns one run: it wraps the problem, which concurrent runs may
 share (its data is fixed and its margin cache is swapped whole), in a
 counting oracle, rebuilds the inverse-Hessian operator every iteration from
-sampled or historical curvature pairs, delegates the step to the engine
-that the type of ``SolverConfig.engine`` names, and records one trace row
-per executed iteration. Runs are deterministic given (problem, config): the
-seed feeds a private generator used only for direction sampling, and
-wall-clock time is the sole nondeterministic trace column.
+sampled or historical curvature pairs, delegates the step to the
+closed-form or the adaptive engine, as the type of ``SolverConfig.engine``
+names, and records one trace row per executed iteration. Runs are
+deterministic given (problem, config): the seed feeds a private generator
+used only for direction sampling, and wall-clock time is the sole
+nondeterministic trace column.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .steps import (
     StepResult,
     adaptive_iteration,
     ceqn_step,
-    fixed_step_iteration,
 )
 
 TERM_GRAD_TOL = "GRAD_TOL"
@@ -55,13 +55,13 @@ class SolverConfig:
 
     ``engine`` is the stepsize schedule's parameter block, and its type picks
     the schedule: ``CeqnParams`` for the closed-form CEQN step,
-    ``AdaptiveParams`` for the adaptive loop (DUAL or REG by its ``mode``),
-    and a float ``L`` for the fixed step ``1/L``. The run stops at a
-    point with ``||g||^2 <= grad_tol``, and the DUAL test accepts a trial
-    point with it.
+    and ``AdaptiveParams`` for the adaptive loop (DUAL or REG by its
+    ``mode``); the fixed step ``1/L`` is ``CeqnParams(theta=L, cubic=0)``.
+    The run stops at a point with ``||g||^2 <= grad_tol``, and the DUAL test
+    accepts a trial point with it.
     """
 
-    engine: CeqnParams | AdaptiveParams | float
+    engine: CeqnParams | AdaptiveParams
     approx: ApproxConfig = field(default_factory=ApproxConfig)
     max_iters: int = 500
     grad_tol: float = 1e-12
@@ -70,12 +70,10 @@ class SolverConfig:
     x0: str | np.ndarray = X0_ALL_ONES
 
     def __post_init__(self):
-        if not isinstance(self.engine, (CeqnParams, AdaptiveParams, float)):
+        if not isinstance(self.engine, (CeqnParams, AdaptiveParams)):
             raise ValueError(
-                f"engine must be CeqnParams, AdaptiveParams or a float L, got {self.engine!r}"
+                f"engine must be CeqnParams or AdaptiveParams, got {self.engine!r}"
             )
-        if isinstance(self.engine, float) and not self.engine > 0:
-            raise ValueError(f"fixed_l must be positive, got {self.engine}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol >= 0:
@@ -304,6 +302,4 @@ def _engine_iteration(
     engine = config.engine
     if isinstance(engine, CeqnParams):
         return ceqn_step(engine, oracle, operator, x, g), alpha
-    if isinstance(engine, AdaptiveParams):
-        return adaptive_iteration(engine, oracle, operator, x, g, f, alpha, config.grad_tol)
-    return fixed_step_iteration(engine, oracle, operator, x, g), alpha
+    return adaptive_iteration(engine, oracle, operator, x, g, f, alpha, config.grad_tol)

@@ -1,4 +1,4 @@
-"""Stepsize engines: closed-form cubic-enhanced, adaptive variants, and fixed.
+"""Stepsize engines: closed-form cubic-enhanced and adaptive variants.
 
 The closed-form engine damps a quasi-Newton step by
 eta = 2 / (theta + sqrt(theta^2 + L * ||g||*)) where ||g||* is the gradient
@@ -6,12 +6,12 @@ norm dual to the current curvature operator. The adaptive engines take the
 same form at theta = 1 + alpha, L = (1 + alpha)^{3/2} * cubic, with a single
 inexactness level alpha that is grown geometrically until a per-step
 acceptance test passes and optionally decayed after success; both call
-``damped_stepsize``. The fixed engine is the classical baseline
-x+ = x - (1/L) H g.
+``damped_stepsize``. The classical baseline x+ = x - (1/L) H g is the
+closed-form engine at theta = L, cubic = 0.
 
-``SolverConfig.engine`` holds one engine's parameters (``CeqnParams``,
-``AdaptiveParams``, or the fixed engine's L as a float), and the driver
-calls the engine that the block's type names.
+``SolverConfig.engine`` holds one engine's parameters (``CeqnParams`` or
+``AdaptiveParams``), and the driver calls the engine that the block's type
+names.
 
 All dual norms inside one outer iteration use the operator frozen at that
 iteration, including inside acceptance tests on the trial point's gradient.
@@ -121,10 +121,10 @@ def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
 def damped_stepsize(theta: float, lg: float) -> float:
     """The damped stepsize eta = 2 / (theta + sqrt(theta^2 + lg)).
 
-    Every engine but the fixed one steps with it: CEQN at (theta, cubic *
-    gdual), the adaptive loop at (c, c^{3/2} * cubic * gdual) with c = 1 +
-    alpha. eta lies in (0, 1/theta], does not increase with lg, and equals
-    1/theta exactly at lg = 0.
+    Every engine steps with it: CEQN at (theta, cubic * gdual), the adaptive
+    loop at (c, c^{3/2} * cubic * gdual) with c = 1 + alpha. eta lies in
+    (0, 1/theta], does not increase with lg, and equals 1/theta exactly at
+    lg = 0, which makes CEQN at theta = L, cubic = 0 the fixed step 1/L.
 
     eta is the positive root of R(eta) = (lg/4) eta^2 + theta eta - 1.
     Rounding bound, with u = 2^-53 and lg normal: the five operations give
@@ -136,9 +136,9 @@ def damped_stepsize(theta: float, lg: float) -> float:
     sum one, and the final subtraction of 1 is exact: a computed residual is
     at most 12u + O(u^2).
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    if lg < 0:
+    if not lg >= 0:
         raise ValueError(f"lg must be nonnegative, got {lg}")
     if lg == 0.0:
         return 1.0 / theta
@@ -207,9 +207,9 @@ def check_reg(
     gdual^3 with L_eff = cubic * (1+alpha)^{3/2}, gdual being the dual norm
     of the gradient at the step's origin.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if gdual < 0:
+    if not gdual >= 0:
         raise ValueError(f"gdual must be nonnegative, got {gdual}")
     l_eff = cubic * (1.0 + alpha) ** 1.5
     required = f_k - 0.5 * eta * gdual**2 - (l_eff / 6.0) * eta**3 * gdual**3
@@ -236,7 +236,7 @@ def adaptive_iteration(
     ``check_dual``. Returns the step plus the alpha to carry into
     the next outer iteration (decayed by gamma_dec after success).
     """
-    if alpha_in <= 0:
+    if not alpha_in > 0:
         raise ValueError(f"alpha_in must be positive, got {alpha_in}")
     gdual, hg = dual_norm(operator, g_k)
     alpha = alpha_in
@@ -268,29 +268,3 @@ def adaptive_iteration(
         g_next=g_next,
     )
     return result, alpha * params.gamma_dec
-
-
-def fixed_step_iteration(
-    inverse_step: float,
-    oracle: CountingOracle,
-    operator,
-    x_k: Vector,
-    g_k: Vector,
-) -> StepResult:
-    """Classical baseline iteration x+ = x - (1/L) H g with constant L.
-
-    Never raises on indefinite operators; the dual norm is reported as a
-    diagnostic with negative quadratic forms clamped to zero.
-    """
-    if inverse_step <= 0:
-        raise ValueError(f"inverse stepsize must be positive, got {inverse_step}")
-    hg = operator.apply(g_k)
-    gdual = math.sqrt(max(float(g_k @ hg), 0.0))
-    eta = 1.0 / inverse_step
-    return StepResult(
-        x_next=x_k - eta * hg,
-        eta=eta,
-        alpha_used=0.0,
-        inner_count=0,
-        dual_norm_before=gdual,
-    )

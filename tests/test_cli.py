@@ -384,7 +384,7 @@ class TestGrid:
             "--values", "10,-1", "--seeds", "0",
         ])
         assert code == 2
-        assert "fixed_l must be positive" in capsys.readouterr().err
+        assert "key 'cubic' must be positive for method FIXED" in capsys.readouterr().err
         assert not out.exists()
 
     def test_float_key_grid_keeps_float_values(self, short_fixed_config, tmp_path, capsys):

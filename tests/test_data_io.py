@@ -758,7 +758,7 @@ class TestConfig:
         spec = load_config(path)
         assert spec["method"] == "FIXED"
         config = spec.to_solver_config()
-        assert config.engine == 1.0
+        assert config.engine == CeqnParams(theta=1.0, cubic=0.0)
 
     def test_misspelled_key_is_named(self):
         with pytest.raises(ConfigError, match="gama_inc"):
@@ -799,6 +799,12 @@ class TestConfig:
                 "dataset": "x",
                 "gamma_inc": 0.5,
             })
+
+    @pytest.mark.parametrize("cubic", [0.0, -1.0])
+    def test_fixed_cubic_must_be_positive(self, cubic):
+        # FIXED steps 1/cubic: the error names the key the user set, not theta
+        with pytest.raises(ConfigError, match="key 'cubic' must be positive for method FIXED"):
+            validate_spec({"method": "FIXED", "cubic": cubic, "dataset": "x"})
 
     def test_quadratic_problem_config(self):
         spec = validate_spec({

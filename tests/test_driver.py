@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ceqn.data_io import parse_libsvm
+from ceqn.data_io import parse_libsvm, validate_spec
 from ceqn.driver import (
     NumericalFailureError,
     SolverConfig,
@@ -89,7 +89,7 @@ class TestRunSolver:
     def test_numerical_failure_carries_partial_trace(self, rng):
         prob = random_logistic(rng, n=100, d=15)
         cfg = SolverConfig(
-            engine=1e-8,  # stepsize 1e8 diverges immediately
+            engine=CeqnParams(theta=1e-8),  # stepsize 1e8 diverges immediately
             approx=ApproxConfig(memory=5, h0_scale=1.0),
             max_iters=50,
         )
@@ -106,7 +106,7 @@ class TestRunSolver:
         dataset = parse_libsvm(FIXTURE_LIBSVM)
         prob = LogisticProblem(dataset.design, dataset.labels, mu=1e-4)
         cfg = SolverConfig(
-            engine=1e-12,
+            engine=CeqnParams(theta=1e-12),
             approx=ApproxConfig(kind="LSR1", h0_scale=1.0),
             max_iters=200,
         )
@@ -120,7 +120,7 @@ class TestRunSolver:
     def test_stationary_safeguard_on_underflowing_step(self):
         prob = tridiagonal_quadratic(3)
         cfg = SolverConfig(
-            engine=1e300,  # step underflows to zero displacement
+            engine=CeqnParams(theta=1e300),  # step underflows to zero displacement
             approx=ApproxConfig(memory=2, h0_scale=1.0),
             max_iters=10,
             grad_tol=0.0,
@@ -159,6 +159,32 @@ class TestRunSolver:
         )
         result = run_solver(Concave(), adaptive)
         assert all(rec.fallback for rec in result.trace)
+
+    def test_fixed_method_falls_back_on_an_indefinite_operator(self):
+        """FIXED is CEQN at theta = L, cubic = 0, so it takes CEQN's fallback.
+
+        With trajectory pairs on the fixture, LSR1 at L = 1 meets operators
+        whose gradient quadratic form is not positive. Stepping along H g
+        there (no fallback) ends MAX_ITERS at f 0.141875; with the flagged
+        fallback the run ends GRAD_TOL.
+        """
+        spec = validate_spec({
+            "method": "FIXED",
+            "cubic": 1.0,
+            "dataset": str(FIXTURE_LIBSVM),
+            "mu": 1e-4,
+            "approx_kind": "LSR1",
+            "pair_strategy": "HISTORY",
+            "memory": 10,
+            "h0_scale": 1e-4,
+            "max_iters": 400,
+            "grad_tol": 1e-10,
+            "seed": 0,
+        })
+        problem, _ = spec.load_problem()
+        result = run_solver(problem, spec.to_solver_config())
+        assert any(rec.fallback for rec in result.trace)
+        assert result.termination == "GRAD_TOL"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_curvature_takes_the_flagged_fallback(self):
@@ -333,14 +359,12 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             SolverConfig()
 
-    def test_unknown_method(self):
-        # an engine that is not a parameter block names no schedule
+    @pytest.mark.parametrize("engine", ["NEWTON", 10.0])
+    def test_unknown_method(self, engine):
+        # an engine that is not a parameter block names no schedule; the
+        # fixed step 1/L is CeqnParams(theta=L), not a bare float
         with pytest.raises(ValueError, match="engine"):
-            SolverConfig(engine="NEWTON")
-
-    def test_fixed_l_must_be_positive(self):
-        with pytest.raises(ValueError, match="fixed_l must be positive"):
-            SolverConfig(engine=0.0)
+            SolverConfig(engine=engine)
 
     @pytest.mark.parametrize("name, build", [
         ("theta", lambda: CeqnParams(theta=math.nan)),

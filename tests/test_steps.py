@@ -22,7 +22,6 @@ from ceqn.steps import (
     check_reg,
     damped_stepsize,
     dual_norm,
-    fixed_step_iteration,
 )
 
 from conftest import GRAD_TOL, ScaledIdentity, random_logistic, random_spd
@@ -94,9 +93,11 @@ def exact_root_stepsize(theta, cubic, gdual):
 
 
 class TestDampedStepsize:
-    def test_zero_lg_gives_inverse_theta_exactly(self):
-        for theta in (1.0, 0.1, 2.5, 3.7):
-            assert damped_stepsize(theta, 0.0) == 1.0 / theta
+    @given(theta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_zero_lg_gives_inverse_theta_exactly(self, theta):
+        # for every positive finite theta: the fixed step 1/L is CEQN at
+        # theta = L, cubic = 0
+        assert damped_stepsize(theta, 0.0) == 1.0 / theta
 
     def test_direct_evaluation(self):
         # theta=1, lg = 3: 2 / (1 + sqrt(1 + 3)) = 2/3
@@ -105,7 +106,10 @@ class TestDampedStepsize:
         # 2 / (2 + sqrt(4 + 2^1.5 * 2)) = 0.3915773322812624
         assert adaptive_eta(1.0, 1.0, 2.0) == pytest.approx(0.3915773322812624, abs=1e-16)
 
-    @pytest.mark.parametrize("theta, lg", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300)])
+    @pytest.mark.parametrize(
+        "theta, lg",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-300), (math.nan, 0.0), (1.0, math.nan)],
+    )
     def test_rejects_nonpositive_theta_and_negative_lg(self, theta, lg):
         with pytest.raises(ValueError):
             damped_stepsize(theta, lg)
@@ -230,12 +234,24 @@ class TestAcceptanceAtLargeAlpha:
 
 
 class TestCeqnStep:
-    def test_null_gradient_is_fixed_point(self, rng):
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_null_gradient_is_fixed_point(self, rng, theta):
         prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
         oracle = CountingOracle(prob)
         x = prob.solution()
-        res = ceqn_step(CeqnParams(), oracle, IdentityOperator(), x, np.zeros(3))
+        res = ceqn_step(CeqnParams(theta=theta), oracle, IdentityOperator(), x, np.zeros(3))
         np.testing.assert_array_equal(res.x_next, x)
+
+    @pytest.mark.parametrize("theta, scale", [(1.0, 1.0), (3.7, 1.0), (10.0, 0.3), (1e-3, 2.0)])
+    def test_cubic_zero_is_the_fixed_step(self, rng, theta, scale):
+        # at theta = L, cubic = 0 the step is x - (1/L) H g bit for bit; with
+        # the identity operator, gradient descent
+        prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
+        oracle = CountingOracle(prob)
+        x = np.ones(3)
+        g = oracle.gradient(x)
+        res = ceqn_step(CeqnParams(theta=theta, cubic=0.0), oracle, ScaledIdentity(scale), x, g)
+        np.testing.assert_array_equal(res.x_next, x - (1.0 / theta) * (scale * g))
 
     def test_newton_solves_quadratic_in_one_step(self, rng):
         prob = QuadraticProblem(random_spd(rng, 4), rng.normal(size=4))
@@ -304,6 +320,50 @@ class TestCheckReg:
     def test_null_step_accepts(self):
         assert not check_reg(f_k=1.0, f_next=1.0, eta=0.5, gdual=0.0, cubic=1.0, alpha=0.1)
 
+    @pytest.mark.parametrize(
+        "eta, gdual", [(0.0, 1.0), (math.nan, 1.0), (0.5, -1e-300), (0.5, math.nan)]
+    )
+    def test_rejects_nonpositive_eta_and_negative_gdual(self, eta, gdual):
+        # a check written `eta <= 0` would let a NaN stepsize be accepted
+        with pytest.raises(ValueError):
+            check_reg(f_k=1.0, f_next=0.5, eta=eta, gdual=gdual, cubic=1.0, alpha=1.0)
+
+    @pytest.mark.parametrize("k", [0.1, 10.0, 1e3, 1e4])
+    def test_quadratic_threshold_is_eta_times_4c_minus_3(self, rng, k):
+        """On a quadratic with the exact Hessian, REG accepts iff eta (4c - 3) >= 1.
+
+        With gd the dual norm, f(x - eta H g) = f - eta gd^2 + eta^2 gd^2 / 2,
+        so the decrease REG requires holds with slack eta gd^2 / 6 * (eta (4c -
+        3) - 1), using (L_eff gd / 4) eta^2 = 1 - c eta for the damped
+        stepsize at c = 1 + alpha, L_eff = c^{3/2} cubic. For large K = cubic
+        gd the boundary solves c^{3/2} K = 12 (c - 1)(4c - 3), c ~ K^2 / 2304,
+        so the largest step REG accepts is eta ~ 576 / K^2: it shrinks as
+        cubic^-2.
+        """
+        prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
+        oracle = CountingOracle(prob)
+        x = np.ones(3)
+        f = oracle.value(x)
+        op = DenseInverseOperator(oracle, x)
+        gd, hg = dual_norm(op, oracle.gradient(x))
+        cubic = k / gd
+        sides = set()
+        largest_accepted = 0.0
+        for alpha in np.geomspace(1e-4, 1e6, 2400):
+            c = 1.0 + alpha
+            eta = adaptive_eta(cubic, alpha, gd)
+            margin = eta * (4.0 * c - 3.0) - 1.0
+            if abs(margin) < 1e-4:
+                continue  # within rounding of the boundary
+            rejected = check_reg(f, oracle.value(x - eta * hg), eta, gd, cubic, alpha)
+            assert rejected == (margin < 0), (alpha, margin)
+            sides.add(rejected)
+            if not rejected:
+                largest_accepted = max(largest_accepted, eta)
+        assert sides == {True, False}
+        if k >= 1e3:
+            assert largest_accepted * k**2 == pytest.approx(576.0, rel=0.05)
+
     def test_exact_hessian_quadratic_accepts_every_step(self, rng):
         prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
         oracle = CountingOracle(prob)
@@ -326,7 +386,7 @@ class TestAdaptiveIteration:
     def test_rejects_nonpositive_alpha(self):
         oracle = CountingOracle(QuadraticProblem(np.eye(2), np.zeros(2)))
         x = np.ones(2)
-        for alpha in (0.0, -0.5):
+        for alpha in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError, match="alpha_in"):
                 adaptive_iteration(
                     AdaptiveParams(), oracle, IdentityOperator(), x, x, 1.0, alpha, GRAD_TOL
@@ -480,28 +540,6 @@ class TestAdaptiveIteration:
                     assert f_next <= f
                 x, f = res.x_next, f_next
                 g = res.g_next if res.g_next is not None else oracle.gradient(x)
-
-
-class TestFixedStep:
-    def test_identity_operator_is_gradient_descent(self, rng):
-        prob = QuadraticProblem(random_spd(rng, 3), rng.normal(size=3))
-        oracle = CountingOracle(prob)
-        x = np.ones(3)
-        g = oracle.gradient(x)
-        res = fixed_step_iteration(1.0, oracle, IdentityOperator(), x, g)
-        np.testing.assert_array_equal(res.x_next, x - g)
-
-    def test_null_gradient_is_fixed_point(self, rng):
-        oracle = CountingOracle(QuadraticProblem(np.eye(2), np.zeros(2)))
-        res = fixed_step_iteration(2.0, oracle, IdentityOperator(), np.ones(2), np.zeros(2))
-        np.testing.assert_array_equal(res.x_next, np.ones(2))
-
-    def test_tolerates_indefinite_operator(self):
-        oracle = CountingOracle(QuadraticProblem(np.eye(2), np.zeros(2)))
-        res = fixed_step_iteration(
-            1.0, oracle, NegatedOperator(), np.ones(2), np.array([1.0, 0.0])
-        )
-        assert res.dual_norm_before == 0.0  # clamped diagnostic, no error
 
 
 class TestOneStepDecreaseChain:
