@@ -13,7 +13,6 @@ from .data_io import (
     write_trace_csv,
 )
 from .driver import (
-    NumericalFailureError,
     RunResult,
     SolverConfig,
     TraceRecord,

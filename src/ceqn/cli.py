@@ -28,7 +28,7 @@ from .data_io import (
     write_summary_json,
     write_trace_csv,
 )
-from .driver import TERM_NUMERICAL_FAILURE, NumericalFailureError, run_solver
+from .driver import TERM_NUMERICAL_FAILURE, run_solver
 
 GRID_PRESETS: dict[str, list[float]] = {
     # log-spaced decades with 3.16 (~10^0.5) midpoints
@@ -96,22 +96,22 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
     """Execute one configured run and write its artifacts.
 
-    A run that diverges keeps its partial artifacts with status ``failed``.
-    Any other exception the run raises becomes a row with status ``error``,
-    the exception type and message, and no artifacts, so the rest of a sweep
-    still runs. Only failing to write into ``out_dir`` raises.
+    A run that ends NUMERICAL_FAILURE keeps its partial artifacts with status
+    ``failed``. An exception the run raises becomes a row with status
+    ``error``, the exception type and message, and no artifacts, so the rest
+    of a sweep still runs. Only failing to write into ``out_dir`` raises.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     row = {"run_id": out_dir.name, "status": "ok", "message": ""}
     try:
         result = run_solver(problem, spec.to_solver_config())
-    except NumericalFailureError as exc:
-        result = exc.result
-        row.update(status="failed", message=str(exc))
     except Exception as exc:  # noqa: BLE001 - one run's crash is data, not a sweep abort
         row.update(status="error", message=f"{type(exc).__name__}: {exc}")
         # the summary keys of a run that left no summary
         return row | dict.fromkeys(_SUMMARY_ROW_KEYS) | {"seed": spec["seed"], "iterations": 0}
+    if result.termination == TERM_NUMERICAL_FAILURE:
+        where = f"iteration {result.trace[-1].iter}" if result.trace else "the start point"
+        row.update(status="failed", message=f"objective or gradient non-finite at {where}")
     write_trace_csv(result, out_dir / "trace.csv")
     summary = write_summary_json(result, out_dir / "summary.json", spec.values, dataset_info)
     return row | {key: summary[key] for key in _SUMMARY_ROW_KEYS}

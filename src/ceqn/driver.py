@@ -5,7 +5,11 @@ share (its data is fixed and its margin cache is swapped whole), in a
 counting oracle, rebuilds the inverse-Hessian operator every iteration from
 sampled or historical curvature pairs, delegates the step to the
 closed-form or the adaptive engine, as the type of ``SolverConfig.engine``
-names, and records one trace row per executed iteration. Runs are
+names, and records one trace row per executed iteration. The driver
+evaluates the oracle only at the start point; each engine returns its step
+with the objective and gradient there. Every run returns a ``RunResult``: a
+run whose objective or gradient stops being finite ends
+``NUMERICAL_FAILURE`` with its partial trace. Runs are
 deterministic given (problem, config): the seed feeds a private generator
 used only for direction sampling, and wall-clock time is the sole
 nondeterministic trace column.
@@ -128,14 +132,6 @@ class RunResult:
     final_alpha: float | None = None
 
 
-class NumericalFailureError(RuntimeError):
-    """The objective or gradient became non-finite; carries the partial run."""
-
-    def __init__(self, message: str, result: RunResult):
-        super().__init__(message)
-        self.result = result
-
-
 def check_termination(
     k: int, grad_norm_sq: float, elapsed: float, config: SolverConfig
 ) -> str | None:
@@ -169,8 +165,9 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     engine iteration, and append a trace record. On an indefinite operator
     the iteration is redone with the scaled-identity fallback and flagged; an
     exact Hessian that cannot be factored takes the same fallback.
-    Raises NumericalFailureError (carrying the partial result) as soon as the
-    objective or gradient stops being finite.
+    The run ends NUMERICAL_FAILURE, before any other termination test, at
+    the first point where f or ||g||^2 is not finite, the start point
+    included; a step that leaves x unchanged ends it STATIONARY.
     """
     oracle = CountingOracle(problem)
     rng = np.random.default_rng(config.seed)
@@ -179,32 +176,8 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     trace: list[TraceRecord] = []
 
     alpha = config.engine.alpha0 if isinstance(config.engine, AdaptiveParams) else None
-
-    def finish(termination: str, x_end: Vector, f_end: float, g_end: Vector) -> RunResult:
-        # a diverged gradient may square past the float range: inf is the answer
-        with np.errstate(over="ignore"):
-            gns_end = float(g_end @ g_end)
-        return RunResult(
-            trace=trace,
-            termination=termination,
-            x_final=x_end,
-            f_final=float(f_end),
-            grad_norm_sq_final=gns_end,
-            config=config,
-            wall_seconds=time.perf_counter() - t0,
-            n_value=oracle.n_value,
-            n_grad=oracle.n_grad,
-            n_hvp=oracle.n_hvp,
-            final_alpha=alpha,
-        )
-
     f = oracle.value(x)
     g = oracle.gradient(x)
-    if not math.isfinite(f) or not np.all(np.isfinite(g)):
-        raise NumericalFailureError(
-            "objective or gradient non-finite at the start point",
-            finish(TERM_NUMERICAL_FAILURE, x, f, g),
-        )
 
     buffer = (
         PairBuffer(config.approx.memory, oracle.dimension)
@@ -213,7 +186,12 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     )
     k = 0
     while True:
-        gns = float(g @ g)
+        # a diverged gradient may square past the float range: inf is the answer
+        with np.errstate(over="ignore"):
+            gns = float(g @ g)
+        if not (math.isfinite(f) and math.isfinite(gns)):
+            termination = TERM_NUMERICAL_FAILURE
+            break
         termination = check_termination(k, gns, time.perf_counter() - t0, config)
         if termination is not None:
             break
@@ -234,14 +212,10 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         skipped_pairs = operator.skipped
 
         try:
-            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
+            step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
             operator = _fallback_operator(config, oracle.dimension)
-            result, alpha_next = _engine_iteration(config, oracle, operator, x, g, f, alpha)
-
-        x_next = result.x_next
-        f_next = result.f_next if result.f_next is not None else oracle.value(x_next)
-        g_next = result.g_next if result.g_next is not None else oracle.gradient(x_next)
+            step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
 
         trace.append(
             TraceRecord(
@@ -249,10 +223,10 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
                 wall_seconds=time.perf_counter() - t0,
                 f=float(f),
                 grad_norm_sq=gns,
-                grad_dual_norm=float(result.dual_norm_before),
-                eta=float(result.eta),
-                alpha=float(result.alpha_used),
-                inner_count=result.inner_count,
+                grad_dual_norm=float(step.dual_norm_before),
+                eta=float(step.eta),
+                alpha=float(step.alpha_used),
+                inner_count=step.inner_count,
                 skipped_pairs=skipped_pairs,
                 fallback=operator.fallback,
                 n_value=oracle.n_value,
@@ -261,25 +235,29 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
             )
         )
 
-        if not math.isfinite(f_next) or not np.all(np.isfinite(g_next)):
-            raise NumericalFailureError(
-                f"objective or gradient non-finite at iteration {k}",
-                finish(TERM_NUMERICAL_FAILURE, x_next, f_next, g_next),
-            )
-
-        stalled = np.array_equal(x_next, x)
+        stalled = np.array_equal(step.x_next, x)
         if buffer is not None and not stalled:
-            buffer.push(x_next - x, g_next - g)
-        x, f, g = x_next, f_next, g_next
-        alpha = alpha_next
+            buffer.push(step.x_next - x, step.g_next - g)
+        x, f, g, alpha = step.x_next, step.f_next, step.g_next, step.alpha_next
         k += 1
         if stalled:
-            gns = float(g @ g)
-            if gns > config.grad_tol:
-                termination = TERM_STATIONARY
-                break
+            # the loop top found ||g||^2 above grad_tol at this very point
+            termination = TERM_STATIONARY
+            break
 
-    return finish(termination, x, f, g)
+    return RunResult(
+        trace=trace,
+        termination=termination,
+        x_final=x,
+        f_final=float(f),
+        grad_norm_sq_final=gns,
+        config=config,
+        wall_seconds=time.perf_counter() - t0,
+        n_value=oracle.n_value,
+        n_grad=oracle.n_grad,
+        n_hvp=oracle.n_hvp,
+        final_alpha=alpha,
+    )
 
 
 def _fallback_operator(config: SolverConfig, dimension: int) -> LowRankOperator:
@@ -298,8 +276,8 @@ def _engine_iteration(
     g: Vector,
     f: float,
     alpha: float | None,
-) -> tuple[StepResult, float | None]:
+) -> StepResult:
     engine = config.engine
     if isinstance(engine, CeqnParams):
-        return ceqn_step(engine, oracle, operator, x, g), alpha
+        return ceqn_step(engine, oracle, operator, x, g)
     return adaptive_iteration(engine, oracle, operator, x, g, f, alpha, config.grad_tol)

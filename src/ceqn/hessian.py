@@ -183,9 +183,10 @@ def _build_lbfgs(pairs: PairBuffer, scale: float) -> LowRankOperator:
     """Limited-memory BFGS in compact form over the positive-curvature pairs.
 
     Pairs with s^T y <= BFGS_CURVATURE_TOL ||s|| ||y|| are dropped, preserving
-    positive definiteness. With the kept pairs as rows S, Y, oldest first,
-    R = triu(S Y^T), D = diag(S Y^T) and H0 = gamma * I scaled by the newest
-    kept pair, gamma = s^T y / y^T y:
+    positive definiteness, and so are pairs whose gamma = s^T y / y^T y is
+    not finite (y^T y underflowed to 0 or the quotient overflowed). With the
+    kept pairs as rows S, Y, oldest first, R = triu(S Y^T), D = diag(S Y^T)
+    and H0 = gamma * I scaled by the newest kept pair:
 
         H = gamma I + [S; Y]^T [[R^-T (D + gamma Y Y^T) R^-1, -gamma R^-T],
                                 [-gamma R^-1,                  0         ]] [S; Y]
@@ -198,13 +199,15 @@ def _build_lbfgs(pairs: PairBuffer, scale: float) -> LowRankOperator:
     sy = s @ y.T
     yy = y @ y.T
     sty = np.diag(sy)
-    floor = BFGS_CURVATURE_TOL * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(np.diag(yy))
+    yty = np.diag(yy)
+    floor = BFGS_CURVATURE_TOL * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(yty)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gammas = sty / yty
     order = pairs.order()
-    kept = order[sty[order] > floor[order]]
+    kept = order[(sty[order] > floor[order]) & np.isfinite(gammas[order])]
     if kept.size == 0:
         return LowRankOperator(scale, pairs.rows[:0], np.zeros((0, 0)), n, n > 0)
-    newest = kept[-1]
-    gamma = sty[newest] / yy[newest, newest]
+    gamma = gammas[kept[-1]]
     r_inv = scipy.linalg.solve_triangular(np.triu(sy[np.ix_(kept, kept)]), np.eye(kept.size))
     top = r_inv.T @ (np.diag(sty[kept]) + gamma * yy[np.ix_(kept, kept)]) @ r_inv
     idx = np.concatenate([kept, pairs.capacity + kept])

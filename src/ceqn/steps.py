@@ -11,7 +11,9 @@ closed-form engine at theta = L, cubic = 0.
 
 ``SolverConfig.engine`` holds one engine's parameters (``CeqnParams`` or
 ``AdaptiveParams``), and the driver calls the engine that the block's type
-names.
+names. An engine returns the next point already evaluated: its objective and
+gradient come back in the ``StepResult``, so the driver evaluates the oracle
+only at the start point.
 
 All dual norms inside one outer iteration use the operator frozen at that
 iteration, including inside acceptance tests on the trial point's gradient.
@@ -83,21 +85,23 @@ class AdaptiveParams:
 
 @dataclass
 class StepResult:
-    """Outcome of one engine iteration.
+    """Outcome of one engine iteration: the next point and its evaluations.
 
-    ``f_next``/``g_next`` carry evaluations the acceptance loop already paid
-    for, so the driver never re-evaluates them. ``cap_hit`` marks a step taken
-    while the acceptance test still fails (see ``adaptive_iteration``).
+    ``f_next``/``g_next`` are the objective and gradient at ``x_next``.
+    ``cap_hit`` marks a step taken while the acceptance test still fails (see
+    ``adaptive_iteration``). ``alpha_next`` is the alpha the adaptive engine
+    carries into the next outer iteration, None for the closed-form engine.
     """
 
     x_next: Vector
+    f_next: float
+    g_next: Vector = field(repr=False)
     eta: float
     alpha_used: float
     inner_count: int
     dual_norm_before: float
     cap_hit: bool = False
-    f_next: float | None = None
-    g_next: Vector | None = field(default=None, repr=False)
+    alpha_next: float | None = None
 
 
 def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
@@ -152,11 +156,14 @@ def ceqn_step(
     x_k: Vector,
     g_k: Vector,
 ) -> StepResult:
-    """One closed-form iteration: x+ = x - eta * H g."""
+    """One closed-form iteration: x+ = x - eta * H g, then f and g at x+."""
     gdual, hg = dual_norm(operator, g_k)
     eta = damped_stepsize(params.theta, params.cubic * gdual)
+    x_next = x_k - eta * hg
     return StepResult(
-        x_next=x_k - eta * hg,
+        x_next=x_next,
+        f_next=oracle.value(x_next),
+        g_next=oracle.gradient(x_next),
         eta=eta,
         alpha_used=0.0,
         inner_count=0,
@@ -225,7 +232,7 @@ def adaptive_iteration(
     f_k: float,
     alpha_in: float,
     grad_tol: float,
-) -> tuple[StepResult, float]:
+) -> StepResult:
     """One adaptive outer iteration with its inner acceptance loop.
 
     Grows alpha by gamma_inc and retries the trial step while the configured
@@ -233,8 +240,9 @@ def adaptive_iteration(
     trial is taken and flagged. A rejected trial equal to x_k is taken and
     flagged too: a larger alpha only shortens the step, so every later trial
     would be x_k as well. ``grad_tol`` is the run's ||g||^2 bound, passed to
-    ``check_dual``. Returns the step plus the alpha to carry into
-    the next outer iteration (decayed by gamma_dec after success).
+    ``check_dual``. The test evaluates one of f and g at each trial (REG the
+    value, DUAL the gradient); the other is evaluated once, at the step taken.
+    ``alpha_next`` is alpha decayed by gamma_dec.
     """
     if not alpha_in > 0:
         raise ValueError(f"alpha_in must be positive, got {alpha_in}")
@@ -245,8 +253,6 @@ def adaptive_iteration(
         c = 1.0 + alpha
         eta = damped_stepsize(c, c**1.5 * params.cubic * gdual)
         x_next = x_k - eta * hg
-        f_next: float | None = None
-        g_next: Vector | None = None
         if params.mode == MODE_REG:
             f_next = oracle.value(x_next)
             rejected = check_reg(f_k, f_next, eta, gdual, params.cubic, alpha)
@@ -257,14 +263,18 @@ def adaptive_iteration(
             break
         alpha *= params.gamma_inc
         inner += 1
-    result = StepResult(
+    if params.mode == MODE_REG:
+        g_next = oracle.gradient(x_next)
+    else:
+        f_next = oracle.value(x_next)
+    return StepResult(
         x_next=x_next,
+        f_next=f_next,
+        g_next=g_next,
         eta=eta,
         alpha_used=alpha,
         inner_count=inner,
         dual_norm_before=gdual,
         cap_hit=rejected,
-        f_next=f_next,
-        g_next=g_next,
+        alpha_next=alpha * params.gamma_dec,
     )
-    return result, alpha * params.gamma_dec

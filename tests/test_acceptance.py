@@ -150,14 +150,12 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
             break
         operator = rebuild_operator(approx, sample_pairs(oracle, x, approx_memory, rng))
         try:
-            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
+            res = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
         except IndefiniteOperatorError:
             operator = ScaledIdentity(1e-2)
-            res, alpha = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
-        f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
-        guarded = (
-            res.g_next is not None and float(res.g_next @ res.g_next) <= GRAD_TOL
-        )
+            res = adaptive_iteration(params, oracle, operator, x, g, f, alpha, GRAD_TOL)
+        f_next = res.f_next
+        guarded = float(res.g_next @ res.g_next) <= GRAD_TOL
         if not res.cap_hit and not guarded:
             # the dual norm the acceptance test took at the accepted point
             gdn, _ = dual_norm(operator, res.g_next)
@@ -169,8 +167,7 @@ def _dual_mode_run(problem, seed, iters, approx_memory, cubic):
                 violations.append((seed, k, f - f_next, bound))
         if not res.cap_hit and f_next > f:
             monotone_breaks.append((seed, k))
-        x, f = res.x_next, f_next
-        g = res.g_next if res.g_next is not None else oracle.gradient(x)
+        x, f, g, alpha = res.x_next, f_next, res.g_next, res.alpha_next
     return violations, monotone_breaks
 
 

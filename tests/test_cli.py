@@ -14,7 +14,7 @@ from ceqn.cli import (
 from ceqn.data_io import RunSpec, read_trace_csv, validate_spec
 from ceqn.driver import run_solver
 
-from conftest import FIXTURE_LIBSVM
+from conftest import FIXTURE_D, FIXTURE_LIBSVM
 
 
 @pytest.fixture
@@ -127,6 +127,22 @@ class TestRun:
         assert code == 1
         summary = json.loads((out / "boom" / "summary.json").read_text())
         assert summary["termination"] == "NUMERICAL_FAILURE"
+        row = json.loads(capsys.readouterr().out)
+        assert row["status"] == "failed"
+        last = summary["iterations"] - 1
+        assert row["message"] == f"objective or gradient non-finite at iteration {last}"
+
+    def test_start_point_failure_is_a_failed_row(self, fixed_config, tmp_path, capsys):
+        # ||g||^2 overflows at this start point, every entry of g being finite
+        x0 = json.dumps([math.sqrt(2e307 / FIXTURE_D)] * FIXTURE_D)
+        code = main([
+            "run", "--config", str(fixed_config), "--out", str(tmp_path),
+            "--override", "mu=4", "--override", f"x0={x0}", "--run-id", "start",
+        ])
+        assert code == 1
+        row = json.loads(capsys.readouterr().out)
+        assert row["status"] == "failed" and row["iterations"] == 0
+        assert row["message"] == "objective or gradient non-finite at the start point"
 
 
     def test_summary_config_reproduces_the_run(

@@ -240,6 +240,15 @@ class TestLbfgs:
         assert op.skipped == 1
         assert np.all(np.isfinite(op.apply(rng.normal(size=4))))
 
+    def test_pair_whose_y_norm_underflows_is_dropped(self):
+        # y^T y = 4e-340 underflows to 0, so gamma = s^T y / y^T y is not
+        # finite; the suite turns a divide or invalid warning into an error
+        pairs = PairBuffer(3, 4)
+        pairs.push(np.ones(4), np.full(4, 1e-170))
+        op = build("LBFGS", pairs, 0.5)
+        assert op.fallback and op.skipped == 1
+        assert op.u.shape == (0, 4) and op.m.shape == (0, 0)
+
     def test_all_skipped_sets_fallback(self, rng):
         s = rng.normal(size=4)
         op = build("LBFGS", buffer_of(4, [(s, -s)]), 0.5)

@@ -11,7 +11,7 @@ from ceqn.hessian import (
     PairBuffer,
     rebuild_operator,
 )
-from ceqn.problems import CountingOracle, QuadraticProblem
+from ceqn.problems import CountingOracle, LogisticProblem, QuadraticProblem
 from ceqn.steps import (
     AdaptiveParams,
     CeqnParams,
@@ -154,7 +154,7 @@ class TestDampedStepsize:
         oracle = CountingOracle(prob)
         x = np.array([1.7, 0.3])
         params = AdaptiveParams(cubic=cubic, alpha0=alpha0, mode=mode)
-        res, _ = adaptive_iteration(
+        res = adaptive_iteration(
             params, oracle, ScaledIdentity(scale), x, oracle.gradient(x), oracle.value(x),
             alpha0, GRAD_TOL,
         )
@@ -226,7 +226,7 @@ class TestAcceptanceAtLargeAlpha:
                 cubic=cubic, alpha0=alpha0, gamma_inc=2.0, mode=mode, max_inner=max(bound, 1)
             )
             oracle = CountingOracle(prob)
-            res, _ = adaptive_iteration(
+            res = adaptive_iteration(
                 params, oracle, op, x, g, oracle.value(x), alpha0, GRAD_TOL
             )
             assert not res.cap_hit, (mode, bound)
@@ -376,10 +376,9 @@ class TestCheckReg:
             if float(g @ g) <= 1e-20:
                 break
             op = DenseInverseOperator(oracle, x)
-            res, alpha = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
+            res = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
             assert res.inner_count == 0 and not res.cap_hit
-            x, f = res.x_next, res.f_next
-            g = oracle.gradient(x)
+            x, f, g, alpha = res.x_next, res.f_next, res.g_next, res.alpha_next
 
 
 class TestAdaptiveIteration:
@@ -404,13 +403,10 @@ class TestAdaptiveIteration:
             if float(g @ g) <= 1e-24:
                 break
             op = DenseInverseOperator(oracle, x)
-            res, alpha_out = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
+            res = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
             assert res.inner_count == 0
-            assert alpha_out == alpha
-            alpha = alpha_out
-            x = res.x_next
-            f = oracle.value(x)
-            g = res.g_next
+            assert res.alpha_next == alpha
+            x, f, g, alpha = res.x_next, res.f_next, res.g_next, res.alpha_next
         assert alpha == 1e-3
 
     def test_geometric_schedule_on_two_rejections(self):
@@ -420,12 +416,12 @@ class TestAdaptiveIteration:
         x = np.array([2.0])
         params = AdaptiveParams(cubic=0.5, alpha0=0.02, mode="REG", gamma_dec=1.0)
         op = DenseInverseOperator(oracle, x)
-        res, alpha_out = adaptive_iteration(
+        res = adaptive_iteration(
             params, oracle, op, x, oracle.gradient(x), oracle.value(x), 0.02, GRAD_TOL
         )
         assert res.inner_count == 2
         assert res.alpha_used == pytest.approx(0.08, rel=1e-15)
-        assert alpha_out == res.alpha_used  # gamma_dec = 1 carries alpha forward
+        assert res.alpha_next == res.alpha_used  # gamma_dec = 1 carries alpha forward
 
     def test_gamma_dec_decays_alpha_after_success(self, rng):
         prob = QuadraticProblem(random_spd(rng, 2), rng.normal(size=2))
@@ -433,11 +429,11 @@ class TestAdaptiveIteration:
         x = np.ones(2)
         params = AdaptiveParams(cubic=0.1, alpha0=1.0, mode="REG", gamma_dec=0.5)
         op = DenseInverseOperator(oracle, x)
-        res, alpha_out = adaptive_iteration(
+        res = adaptive_iteration(
             params, oracle, op, x, oracle.gradient(x), oracle.value(x), 1.0, GRAD_TOL
         )
         assert res.inner_count == 0
-        assert alpha_out == 0.5
+        assert res.alpha_next == 0.5
 
     def test_cap_hit_accepts_last_trial(self):
         # constant objective: REG can never certify a decrease
@@ -456,7 +452,7 @@ class TestAdaptiveIteration:
         oracle = CountingOracle(Flat())
         x = np.zeros(2)
         params = AdaptiveParams(cubic=1.0, alpha0=1.0, mode="REG", max_inner=5)
-        res, _ = adaptive_iteration(
+        res = adaptive_iteration(
             params, oracle, IdentityOperator(), x, oracle.gradient(x), 1.0, 1.0, GRAD_TOL
         )
         assert res.cap_hit
@@ -479,7 +475,7 @@ class TestAdaptiveIteration:
         for mode in ("DUAL", "REG"):
             oracle = CountingOracle(Flat())
             params = AdaptiveParams(cubic=1.0, mode=mode, max_inner=30)
-            res, _ = adaptive_iteration(
+            res = adaptive_iteration(
                 params, oracle, IdentityOperator(), x, oracle.gradient(x), 1.0, 1.0, 0.0
             )
             np.testing.assert_array_equal(res.x_next, x)
@@ -498,14 +494,11 @@ class TestAdaptiveIteration:
         iters = 40
         for _ in range(iters):
             op = ScaledIdentity(1e-2)
-            res, alpha_out = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
-            assert alpha_out >= alpha
+            res = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
+            assert res.alpha_next >= alpha
             total_inner += res.inner_count
-            alphas.append(alpha_out)
-            alpha = alpha_out
-            x = res.x_next
-            f = oracle.value(x)
-            g = res.g_next if res.g_next is not None else oracle.gradient(x)
+            alphas.append(res.alpha_next)
+            x, f, g, alpha = res.x_next, res.f_next, res.g_next, res.alpha_next
         assert alphas == sorted(alphas)
         expected = math.log(alpha / alpha0, params.gamma_inc)
         assert total_inner <= expected + iters + 1e-9
@@ -516,7 +509,7 @@ class TestAdaptiveIteration:
         for mode in ("DUAL", "REG"):
             oracle = CountingOracle(prob)
             params = AdaptiveParams(cubic=1.0, alpha0=0.5, mode=mode)
-            res, _ = adaptive_iteration(
+            res = adaptive_iteration(
                 params, oracle, IdentityOperator(), x, oracle.gradient(x),
                 oracle.value(x), 0.5, GRAD_TOL,
             )
@@ -534,12 +527,47 @@ class TestAdaptiveIteration:
             params = AdaptiveParams(cubic=0.1, alpha0=1.0, mode=mode)
             for _ in range(30):
                 op = ScaledIdentity(0.5)
-                res, alpha = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
-                f_next = res.f_next if res.f_next is not None else oracle.value(res.x_next)
+                res = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
                 if not res.cap_hit:
-                    assert f_next <= f
-                x, f = res.x_next, f_next
-                g = res.g_next if res.g_next is not None else oracle.gradient(x)
+                    assert res.f_next <= f
+                x, f, g, alpha = res.x_next, res.f_next, res.g_next, res.alpha_next
+
+
+class TestStepContract:
+    """An engine returns its step evaluated: f and g at x_next, bit for bit
+    what the problem gives there, paid for with a fixed count per step."""
+
+    @pytest.mark.parametrize("engine", ["CEQN", "DUAL", "REG"])
+    def test_step_carries_f_and_g_at_x_next(self, rng, engine):
+        prob = random_logistic(rng, n=80, d=10)
+        # a fresh instance: its margin cache never holds the engine's points
+        reference = LogisticProblem(prob.design, prob.labels, prob.mu)
+        oracle = CountingOracle(prob)
+        # H = 50 I overshoots at small alpha, so the adaptive tests reject
+        op = ScaledIdentity(50.0)
+        x = np.ones(10)
+        f, g = oracle.value(x), oracle.gradient(x)
+        alpha = 1e-3
+        rejections = 0
+        for _ in range(10):
+            before = (oracle.n_value, oracle.n_grad)
+            if engine == "CEQN":
+                res = ceqn_step(CeqnParams(theta=1.0, cubic=1.0), oracle, op, x, g)
+                expected = (1, 1)
+                assert res.alpha_next is None
+            else:
+                params = AdaptiveParams(cubic=1.0, alpha0=alpha, mode=engine)
+                res = adaptive_iteration(params, oracle, op, x, g, f, alpha, GRAD_TOL)
+                trials = res.inner_count + 1
+                expected = (1, trials) if engine == "DUAL" else (trials, 1)
+                assert res.alpha_next == res.alpha_used * params.gamma_dec
+                rejections += res.inner_count
+            assert (oracle.n_value - before[0], oracle.n_grad - before[1]) == expected
+            assert res.f_next == reference.value(res.x_next)
+            assert res.g_next.tobytes() == reference.gradient(res.x_next).tobytes()
+            x, f, g, alpha = res.x_next, res.f_next, res.g_next, res.alpha_next
+        if engine != "CEQN":
+            assert rejections > 0
 
 
 class TestOneStepDecreaseChain:
@@ -549,17 +577,16 @@ class TestOneStepDecreaseChain:
             prob = QuadraticProblem(random_spd(rng, 4), rng.normal(size=4))
             oracle = CountingOracle(prob)
             x = rng.normal(size=4) * 2.0
+            f, g = oracle.value(x), oracle.gradient(x)
             params = CeqnParams(theta=theta, cubic=0.7)
             for _ in range(15):
-                g = oracle.gradient(x)
                 if float(g @ g) <= 1e-22:
                     break
                 op = DenseInverseOperator(oracle, x)
                 res = ceqn_step(params, oracle, op, x, g)
-                decrease = oracle.value(res.x_next) - oracle.value(x)
                 bound = -0.5 * res.eta * res.dual_norm_before**2
-                assert decrease <= bound + 1e-10
-                x = res.x_next
+                assert res.f_next - f <= bound + 1e-10
+                x, f, g = res.x_next, res.f_next, res.g_next
 
 
 class TestParamValidation:
