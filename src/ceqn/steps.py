@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .problems import CountingOracle, Vector
 
 MODE_DUAL = "DUAL"
@@ -187,9 +189,15 @@ def check_dual(
     with the dual norm taken under the frozen operator of this iteration (one
     operator application). Accepts without the dual norm once ||g+||^2 <=
     grad_tol, the run's stationarity test, where the threshold degenerates
-    to 0 <= 0.
+    to 0 <= 0. Rejects without the dual norm a trial whose ||g+||^2
+    overflows, so alpha grows until the trial is finite or the retry cap
+    ends the loop.
     """
-    if float(g_next @ g_next) <= grad_tol:
+    with np.errstate(over="ignore"):
+        gg = float(g_next @ g_next)
+    if gg == math.inf:
+        return True
+    if gg <= grad_tol:
         return False
     gdual_next, _ = dual_norm(operator, g_next)
     lhs = float(g_next @ (x_k - x_next))
@@ -212,14 +220,18 @@ def check_reg(
 
     Requires the decrease f+ <= f_k - eta/2 * gdual^2 - L_eff/6 * eta^3 *
     gdual^3 with L_eff = cubic * (1+alpha)^{3/2}, gdual being the dual norm
-    of the gradient at the step's origin.
+    of the gradient at the step's origin. A threshold whose powers leave
+    the float range, where Python's ``**`` raises OverflowError, rejects.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not gdual >= 0:
         raise ValueError(f"gdual must be nonnegative, got {gdual}")
-    l_eff = cubic * (1.0 + alpha) ** 1.5
-    required = f_k - 0.5 * eta * gdual**2 - (l_eff / 6.0) * eta**3 * gdual**3
+    try:
+        l_eff = cubic * (1.0 + alpha) ** 1.5
+        required = f_k - 0.5 * eta * gdual**2 - (l_eff / 6.0) * eta**3 * gdual**3
+    except OverflowError:
+        return True
     return f_next > required
 
 

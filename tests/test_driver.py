@@ -125,6 +125,23 @@ class TestRunSolver:
         assert math.isfinite(result.f_final)
         assert result.grad_norm_sq_final == math.inf
 
+    @pytest.mark.parametrize("mode", ["REG", "DUAL"])
+    def test_trials_past_the_float_range_are_rejected(self, mode):
+        # with H0 = 1e300 I every trial overflows the acceptance test: REG's
+        # threshold powers raise OverflowError and DUAL's ||g+||^2 is inf.
+        # Both reject, the retry cap takes the last trial, and the run ends at
+        # the non-finite point, with no warning (the suite makes one an error)
+        dataset = parse_libsvm(FIXTURE_LIBSVM)
+        prob = LogisticProblem(dataset.design, dataset.labels, mu=1e-4)
+        cfg = SolverConfig(
+            engine=AdaptiveParams(cubic=1e-3, mode=mode),
+            approx=ApproxConfig(kind="LBFGS", pair_strategy="HISTORY", h0_scale=1e300),
+        )
+        result = run_solver(prob, cfg)
+        assert result.termination == "NUMERICAL_FAILURE"
+        assert len(result.trace) == 1
+        assert result.trace[0].inner_count == cfg.engine.max_inner
+
     def test_stationary_safeguard_on_underflowing_step(self):
         prob = tridiagonal_quadratic(3)
         cfg = SolverConfig(

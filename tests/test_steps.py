@@ -312,6 +312,14 @@ class TestCheckDual:
         )
         assert lhs <= threshold
 
+    def test_gradient_whose_square_overflows_rejects(self):
+        class Unusable:
+            def apply(self, g):
+                raise AssertionError("an overflowing trial reached the dual norm")
+
+        g_next = np.full(3, 1e160)
+        assert check_dual(g_next, np.ones(3), np.zeros(3), Unusable(), 1.0, 1.0, GRAD_TOL)
+
 
 class TestCheckReg:
     def test_no_decrease_rejects(self):
@@ -319,6 +327,11 @@ class TestCheckReg:
 
     def test_null_step_accepts(self):
         assert not check_reg(f_k=1.0, f_next=1.0, eta=0.5, gdual=0.0, cubic=1.0, alpha=0.1)
+
+    @pytest.mark.parametrize("gdual, alpha", [(1e110, 1.0), (1e200, 1.0), (1.0, 1e300)])
+    def test_threshold_past_the_float_range_rejects(self, gdual, alpha):
+        # gdual**3, gdual**2 or (1 + alpha)**1.5 raises OverflowError
+        assert check_reg(f_k=1.0, f_next=-1e300, eta=0.5, gdual=gdual, cubic=1.0, alpha=alpha)
 
     @pytest.mark.parametrize(
         "eta, gdual", [(0.0, 1.0), (math.nan, 1.0), (0.5, -1e-300), (0.5, math.nan)]
