@@ -22,6 +22,7 @@ from .driver import (
 from .hessian import (
     ApproxConfig,
     DenseInverseOperator,
+    IndefiniteOperatorError,
     LowRankOperator,
     PairBuffer,
     rebuild_operator,
@@ -38,7 +39,6 @@ from .problems import (
 from .steps import (
     AdaptiveParams,
     CeqnParams,
-    IndefiniteOperatorError,
     StepResult,
     adaptive_iteration,
     ceqn_step,

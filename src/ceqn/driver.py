@@ -28,6 +28,7 @@ from .hessian import (
     STRATEGY_HISTORY,
     ApproxConfig,
     DenseInverseOperator,
+    IndefiniteOperatorError,
     LowRankOperator,
     PairBuffer,
     rebuild_operator,
@@ -37,7 +38,6 @@ from .problems import CountingOracle, ProblemOracle, Vector
 from .steps import (
     AdaptiveParams,
     CeqnParams,
-    IndefiniteOperatorError,
     StepResult,
     adaptive_iteration,
     ceqn_step,
@@ -162,9 +162,9 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
 
     Per iteration: obtain curvature pairs (fresh Gaussian probes at the
     current iterate, or the history buffer), rebuild the operator, take one
-    engine iteration, and append a trace record. On an indefinite operator
-    the iteration is redone with the scaled-identity fallback and flagged; an
-    exact Hessian that cannot be factored takes the same fallback.
+    engine iteration, and append a trace record. When the operator cannot be
+    built or used (IndefiniteOperatorError), the iteration takes the flagged
+    H0 = h0_scale * I, which keeps a built operator's skipped-pair count.
     The run ends NUMERICAL_FAILURE, before any other termination test, at
     the first point where f or ||g||^2 is not finite, the start point
     included; a step that leaves x unchanged ends it STATIONARY.
@@ -196,25 +196,19 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         if termination is not None:
             break
 
-        if config.approx.kind == KIND_EXACT:
-            try:
-                operator = DenseInverseOperator(oracle, x)
-            except np.linalg.LinAlgError:
-                # a Hessian that is not positive definite or is singular to
-                # working precision (mu = 0 on a rank-deficient design) gets
-                # the indefinite-operator fallback
-                operator = _fallback_operator(config, oracle.dimension)
-        elif buffer is None:
-            pairs = sample_pairs(oracle, x, config.approx.memory, rng)
-            operator = rebuild_operator(config.approx, pairs)
-        else:
-            operator = rebuild_operator(config.approx, buffer)
-        skipped_pairs = operator.skipped
-
+        skipped = 0
         try:
+            if config.approx.kind == KIND_EXACT:
+                operator = DenseInverseOperator(oracle, x)
+            elif buffer is not None:
+                operator = rebuild_operator(config.approx, buffer)
+            else:
+                pairs = sample_pairs(oracle, x, config.approx.memory, rng)
+                operator = rebuild_operator(config.approx, pairs)
+            skipped = operator.skipped
             step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
-            operator = _fallback_operator(config, oracle.dimension)
+            operator = LowRankOperator.identity(config.approx.h0_scale, oracle.dimension, skipped)
             step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
 
         trace.append(
@@ -227,7 +221,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
                 eta=float(step.eta),
                 alpha=float(step.alpha_used),
                 inner_count=step.inner_count,
-                skipped_pairs=skipped_pairs,
+                skipped_pairs=operator.skipped,
                 fallback=operator.fallback,
                 n_value=oracle.n_value,
                 n_grad=oracle.n_grad,
@@ -257,14 +251,6 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
         n_grad=oracle.n_grad,
         n_hvp=oracle.n_hvp,
         final_alpha=alpha,
-    )
-
-
-def _fallback_operator(config: SolverConfig, dimension: int) -> LowRankOperator:
-    """H0 = h0_scale * I with no rows, flagged: the step taken in place of an
-    operator that cannot be used."""
-    return LowRankOperator(
-        config.approx.h0_scale, np.empty((0, dimension)), np.empty((0, 0)), 0, True
     )
 
 

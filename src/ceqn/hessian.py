@@ -9,8 +9,10 @@ of U, and BFGS in the compact form of Byrd, Nocedal and Schnabel (Math. Prog.
 arrays, collected either along the optimization history (a FIFO ring) or by
 Hessian-vector probes along fresh Gaussian directions.
 
-SR1 may produce an indefinite operator; definiteness safeguards live in the
-stepsize engines, not here.
+Every build is finite. An operator that cannot give a positive dual norm
+raises IndefiniteOperatorError (the exact inverse of a Hessian that is not
+positive definite, or ``steps.dual_norm`` on an indefinite SR1 operator),
+and the step is taken with the flagged H0 of ``LowRankOperator.identity``.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class ApproxConfig:
             raise ValueError(f"unknown approximation kind {self.kind!r}")
         if self.pair_strategy not in (STRATEGY_HISTORY, STRATEGY_SAMPLED):
             raise ValueError(f"unknown pair strategy {self.pair_strategy!r}")
+
+
+class IndefiniteOperatorError(RuntimeError):
+    """The operator cannot give a positive, finite gradient quadratic form."""
 
 
 class PairBuffer:
@@ -124,11 +130,12 @@ class LowRankOperator:
     """H = c*I + U^T M U with a few rows U and a small symmetric matrix M.
 
     With no rows, H = c*I, and ``apply`` returns exactly c*g. ``skipped``
-    counts the pairs the update rule dropped; ``fallback`` marks a build that
-    was offered pairs but kept none, or the driver's H0 in place of an
-    operator it cannot use. U may be a view of a PairBuffer's storage, so the
-    operator describes the pairs held at build time only until the buffer's
-    next push.
+    counts the pairs the update rule dropped; ``fallback`` marks the scaled
+    identity H0 taken in place of an operator: a build that was offered pairs
+    but kept none or could not form a finite block, or an operator that
+    raised IndefiniteOperatorError. U may be a view of a PairBuffer's
+    storage, so the operator describes the pairs held at build time only
+    until the buffer's next push.
     """
 
     def __init__(self, scale: float, u: np.ndarray, m: np.ndarray, skipped: int, fallback: bool):
@@ -137,6 +144,11 @@ class LowRankOperator:
         self.m = m
         self.skipped = skipped
         self.fallback = fallback
+
+    @classmethod
+    def identity(cls, scale: float, dimension: int, skipped=0, fallback=True) -> LowRankOperator:
+        """H0 = scale * I with no rows, flagged as a fallback by default."""
+        return cls(scale, np.zeros((0, dimension)), np.zeros((0, 0)), skipped, fallback)
 
     def apply(self, g: Vector) -> Vector:
         if g.shape[0] != self.u.shape[1]:
@@ -160,22 +172,25 @@ def _build_lsr1(pairs: PairBuffer, scale: float) -> LowRankOperator:
     v = np.empty((n, pairs.dimension))
     inv_vty = np.empty(n)
     k = 0
-    for slot in pairs.order():
-        s, y = pairs.s[slot], pairs.y[slot]
-        # a vanished displacement or curvature carries no information and
-        # would inject a singular direction the denominator rule misses
-        if not (s.any() and y.any()):
-            continue
-        kept, vk = v[:k], v[k]
-        np.subtract(s, scale * y + (inv_vty[:k] * (kept @ y)) @ kept, out=vk)
-        vty = float(vk @ y)
-        if abs(vty) <= SR1_SKIP_TOL * math.sqrt(vk @ vk) * math.sqrt(y @ y):
-            continue
-        # a subnormal v^T y has no finite weight, and a v that overflowed
-        # has no finite v^T y: either would put inf or NaN into U or M
-        inv_vty[k] = 1.0 / vty
-        if math.isfinite(vty) and math.isfinite(inv_vty[k]):
-            k += 1
+    # a row near either end of the float range may overflow v or a norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot in pairs.order():
+            s, y = pairs.s[slot], pairs.y[slot]
+            # a vanished displacement or curvature carries no information and
+            # would inject a singular direction the denominator rule misses
+            if not (s.any() and y.any()):
+                continue
+            kept, vk = v[:k], v[k]
+            np.subtract(s, scale * y + (inv_vty[:k] * (kept @ y)) @ kept, out=vk)
+            vty = float(vk @ y)
+            # a NaN on either side skips the pair too
+            if not abs(vty) > SR1_SKIP_TOL * math.sqrt(vk @ vk) * math.sqrt(y @ y):
+                continue
+            # a subnormal v^T y has no finite weight, and a v that overflowed
+            # has no finite v^T y: either would put inf or NaN into U or M
+            inv_vty[k] = 1.0 / vty
+            if math.isfinite(vty) and math.isfinite(inv_vty[k]):
+                k += 1
     return LowRankOperator(scale, v[:k], np.diag(inv_vty[:k]), n - k, n > 0 and k == 0)
 
 
@@ -192,29 +207,32 @@ def _build_lbfgs(pairs: PairBuffer, scale: float) -> LowRankOperator:
                                 [-gamma R^-1,                  0         ]] [S; Y]
 
     U is the buffer's own storage, so M is zero on dropped and unfilled
-    slots. With no kept pair, H = scale * I.
+    slots. With no kept pair, or a block past the float range, H = scale * I,
+    flagged unless no pair was offered.
     """
     n = len(pairs)
     s, y = pairs.s[:n], pairs.y[:n]
-    sy = s @ y.T
-    yy = y @ y.T
-    sty = np.diag(sy)
-    yty = np.diag(yy)
-    floor = BFGS_CURVATURE_TOL * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(yty)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gammas = sty / yty
     order = pairs.order()
-    kept = order[(sty[order] > floor[order]) & np.isfinite(gammas[order])]
-    if kept.size == 0:
-        return LowRankOperator(scale, pairs.rows[:0], np.zeros((0, 0)), n, n > 0)
-    gamma = gammas[kept[-1]]
-    r_inv = scipy.linalg.solve_triangular(np.triu(sy[np.ix_(kept, kept)]), np.eye(kept.size))
-    top = r_inv.T @ (np.diag(sty[kept]) + gamma * yy[np.ix_(kept, kept)]) @ r_inv
+    # a product past the float range drops its pair or fails the block check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sy = s @ y.T
+        yy = y @ y.T
+        sty = np.diag(sy)
+        yty = np.diag(yy)
+        floor = BFGS_CURVATURE_TOL * np.sqrt(np.einsum("ij,ij->i", s, s)) * np.sqrt(yty)
+        gammas = sty / yty
+        kept = order[(sty[order] > floor[order]) & np.isfinite(gammas[order])]
+        if kept.size == 0:
+            return LowRankOperator.identity(scale, pairs.dimension, n, n > 0)
+        gamma = gammas[kept[-1]]
+        r_inv = scipy.linalg.solve_triangular(np.triu(sy[np.ix_(kept, kept)]), np.eye(kept.size))
+        top = r_inv.T @ (np.diag(sty[kept]) + gamma * yy[np.ix_(kept, kept)]) @ r_inv
+        block = np.block([[top, -gamma * r_inv.T], [-gamma * r_inv, np.zeros_like(r_inv)]])
+    if not np.isfinite(block).all():
+        return LowRankOperator.identity(scale, pairs.dimension, n - kept.size)
     idx = np.concatenate([kept, pairs.capacity + kept])
     m = np.zeros((2 * pairs.capacity, 2 * pairs.capacity))
-    m[np.ix_(idx, idx)] = np.block(
-        [[top, -gamma * r_inv.T], [-gamma * r_inv, np.zeros_like(r_inv)]]
-    )
+    m[np.ix_(idx, idx)] = block
     return LowRankOperator(gamma, pairs.rows, m, n - kept.size, False)
 
 
@@ -223,7 +241,7 @@ class DenseInverseOperator:
 
     Costs d Hessian-vector products (one ``hvp_batch`` over the identity)
     plus one Cholesky factorization; only meant for small problems and for
-    exact-Hessian reference runs. Raises numpy.linalg.LinAlgError when the
+    exact-Hessian reference runs. Raises IndefiniteOperatorError when the
     Hessian is not positive definite, or when its Cholesky factor has a
     pivot p with p^2 < d * eps * max(p)^2: such a Hessian is singular up to
     round-off even though the factorization went through.
@@ -234,10 +252,13 @@ class DenseInverseOperator:
         _check_dim(x, d)
         # row j is H e_j, i.e. column j of the symmetric Hessian
         hess = oracle.hvp_batch(x, np.eye(d))
-        self._factor = scipy.linalg.cho_factor((hess + hess.T) / 2.0)
+        try:
+            self._factor = scipy.linalg.cho_factor((hess + hess.T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteOperatorError("Hessian is not positive definite") from exc
         pivots = np.diag(self._factor[0]) ** 2
         if pivots.min() < d * np.finfo(np.float64).eps * pivots.max():
-            raise np.linalg.LinAlgError("Hessian is singular to working precision")
+            raise IndefiniteOperatorError("Hessian is singular to working precision")
         self.skipped = 0
         self.fallback = False
 

@@ -26,18 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hessian import IndefiniteOperatorError
 from .problems import CountingOracle, Vector
 
 MODE_DUAL = "DUAL"
 MODE_REG = "REG"
-
-
-class IndefiniteOperatorError(RuntimeError):
-    """The curvature operator produced a nonpositive gradient quadratic form.
-
-    SR1 approximations are not positive definite in general; callers fall
-    back to a scaled identity for the affected iteration.
-    """
 
 
 @dataclass

@@ -236,6 +236,31 @@ class TestRunSolver:
         # the iterate the reproduction first saturates at
         assert result.trace[3].fallback and result.trace[3].skipped_pairs == 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lbfgs_block_past_the_float_range_takes_the_flagged_fallback(self):
+        """The fixture is separable, so at mu = 0 f falls toward 1e-154.
+
+        Its trajectory pairs shrink with the gradient, and at iteration 643
+        the L-BFGS compact block leaves the float range. The build returns
+        the flagged H0 in place of a block holding inf and NaN, with no
+        RuntimeWarning, and the step it takes leaves x unchanged.
+        """
+        spec = validate_spec({
+            "method": "ADAPTIVE_DUAL",
+            "cubic": 1.0,
+            "dataset": str(FIXTURE_LIBSVM),
+            "mu": 0.0,
+            "approx_kind": "LBFGS",
+            "pair_strategy": "HISTORY",
+            "grad_tol": 0.0,
+            "max_iters": 3000,
+        })
+        problem, _ = spec.load_problem()
+        result = run_solver(problem, spec.to_solver_config())
+        assert result.termination == "STATIONARY" and len(result.trace) == 644
+        assert [rec.iter for rec in result.trace if rec.fallback] == [643]
+        assert result.f_final < 1e-150
+
     def test_history_strategy_converges(self, rng):
         prob = random_logistic(rng, n=150, d=15)
         cfg = adaptive_config("REG")

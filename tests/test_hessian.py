@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ceqn
+from ceqn import steps
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
+    IndefiniteOperatorError,
+    LowRankOperator,
     PairBuffer,
     rebuild_operator,
     sample_pairs,
 )
-from ceqn.problems import CountingOracle, QuadraticProblem
+from ceqn.problems import CountingOracle, LogisticProblem, QuadraticProblem
 
 from conftest import random_logistic, random_spd
 
@@ -146,6 +151,16 @@ def realize(history, kinds=None):
     return rng, buf, pushed[-capacity:]
 
 
+@st.composite
+def extreme_histories(draw):
+    """A drawn history whose s and y rows are each left as drawn or scaled
+    by about 1e-160 or 1e160, where Gram products leave the float range."""
+    history = draw(pair_histories())
+    factors = st.sampled_from((1.0, 1e-160, 1e160))
+    rows = st.lists(factors, min_size=history[1], max_size=history[1])
+    return history, np.array(draw(rows)), np.array(draw(rows))
+
+
 def gamma(n):
     """Higham's gamma_n = n u / (1 - n u) with unit roundoff u = eps / 2."""
     nu = n * np.finfo(np.float64).eps / 2
@@ -199,6 +214,13 @@ class TestLsr1:
         assert op.fallback and op.skipped == 2
         g = rng.normal(size=5)
         np.testing.assert_array_equal(op.apply(g), c * g)
+
+    def test_pair_matching_h0_past_the_float_range_is_skipped(self, rng):
+        # v = s - c y is exactly zero and ||y||^2 overflows, so the skip
+        # test compares 0 with 0 * inf = NaN
+        y = 1e160 * rng.normal(size=4)
+        op = build("LSR1", buffer_of(4, [(0.7 * y, y)]), 0.7)
+        assert op.fallback and op.skipped == 1
 
     def test_pair_without_finite_weight_is_skipped(self, rng):
         # v^T y is subnormal, so its weight 1 / v^T y overflows to inf
@@ -255,6 +277,39 @@ class TestLbfgs:
         assert op.fallback
         g = rng.normal(size=4)
         np.testing.assert_array_equal(op.apply(g), 0.5 * g)
+
+    def test_block_past_the_float_range_gives_flagged_h0(self):
+        # both pairs pass the curvature test, but R has a diagonal entry of
+        # 1e-320, so R^-1 overflows and the compact block holds inf and NaN
+        e = np.eye(4)
+        op = build("LBFGS", buffer_of(4, [(e[0], e[0]), (1e-160 * e[1], 1e-160 * e[1])]), 0.5)
+        assert op.fallback and op.skipped == 0
+        assert op.u.shape == (0, 4) and op.m.shape == (0, 0)
+        g = np.arange(1.0, 5.0)
+        assert op.apply(g).tobytes() == (0.5 * g).tobytes()
+
+
+class TestFiniteBuilds:
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_histories())
+    def test_rows_near_the_float_range_ends_build_finite_operators(self, drawn):
+        """Every build is finite, and so is its product with a finite g.
+
+        Squares of rows near 1e160 overflow and those of rows near 1e-160
+        underflow, so Gram products, SR1 update vectors and the L-BFGS
+        block may leave the float range; the suite turns any overflow or
+        invalid-value warning into an error.
+        """
+        history, s_factors, y_factors = drawn
+        d, capacity, _, scale, _ = history
+        rng, buf, _ = realize(history)
+        buf.s *= (s_factors * rng.uniform(0.5, 2.0, capacity))[:, None]
+        buf.y *= (y_factors * rng.uniform(0.5, 2.0, capacity))[:, None]
+        for kind in ("LSR1", "LBFGS"):
+            op = build(kind, buf, scale)
+            assert np.isfinite(op.u).all() and np.isfinite(op.m).all()
+            for g in rng.normal(size=(3, d)):
+                assert np.isfinite(op.apply(g)).all()
 
 
 class TestDenseReferenceEquivalence:
@@ -554,6 +609,42 @@ class TestDenseInverse:
         g = rng.normal(size=5)
         np.testing.assert_allclose(op.apply(g), np.linalg.solve(a, g), rtol=1e-10)
         assert oracle.n_hvp == 5
+
+    def test_hessian_not_positive_definite_raises(self):
+        class Saddle:
+            dimension = 3
+
+            def hvp_batch(self, x, V):
+                return V * np.array([1.0, -1.0, 2.0])
+
+        with pytest.raises(IndefiniteOperatorError) as caught:
+            DenseInverseOperator(Saddle(), np.zeros(3))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+    def test_hessian_singular_to_working_precision_raises(self):
+        # at mu = 0 each feature sits in a row of its own, so the Hessian is
+        # diagonal and factors exactly, but its pivots span 18 decades: a
+        # rank-deficient design's factorization goes through or not by the
+        # rounding of its zero pivot, this one on every platform
+        design = sp.csr_matrix(np.diag([1.0, 1.0, 1e-9]))
+        problem = LogisticProblem(design, [1.0, -1.0, 1.0], 0.0)
+        with pytest.raises(IndefiniteOperatorError, match="singular"):
+            DenseInverseOperator(problem, np.zeros(3))
+
+
+class TestUnusableOperator:
+    def test_one_exception_class(self):
+        assert ceqn.IndefiniteOperatorError is steps.IndefiniteOperatorError
+        assert steps.IndefiniteOperatorError is IndefiniteOperatorError
+
+    def test_identity_is_flagged_h0(self, rng):
+        g = rng.normal(size=5)
+        g[0] = -0.0
+        op = LowRankOperator.identity(0.3, 5, skipped=2)
+        assert op.apply(g).tobytes() == (0.3 * g).tobytes()
+        assert op.fallback and op.skipped == 2
+        assert op.u.shape == (0, 5) and op.m.shape == (0, 0)
+        assert not LowRankOperator.identity(0.3, 5, fallback=False).fallback
 
 
 class TestConfigValidation:
