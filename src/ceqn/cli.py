@@ -69,10 +69,15 @@ class GridSpec:
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("grid values must be finite")
         self.values = [typed_value(self.parameter, v) for v in self.values]
+        if len(set(self.values)) < len(self.values):
+            raise ValueError(f"grid values must differ, got {self.values}")
 
     def children(self, spec: RunSpec, seeds: list[int]) -> list[tuple[float | int, RunSpec]]:
         """Each run's value and validated spec, values outer and seeds inner;
-        a value the config rejects raises ConfigError before any run."""
+        an empty or repeated seed list, or a value the config rejects, raises
+        ConfigError before any run."""
+        if not seeds or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"grid seeds must be one or more different seeds, got {seeds}")
         return [
             (value, spec.with_overrides({self.parameter: value, "seed": seed}))
             for value in self.values
@@ -186,6 +191,14 @@ def select_winner(rows: list[dict], parameter: str) -> dict | None:
     }
 
 
+def _value_label(value: float | int) -> str:
+    """A grid value as its run id spells it: ``{value:g}`` where that reads
+    back as the value, else its repr, so that different values get
+    different ids."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def run_grid(
     spec: RunSpec,
     grid: GridSpec,
@@ -203,7 +216,8 @@ def run_grid(
     problem, dataset_info = loaded or spec.load_problem()
     rows = []
     for value, child in children:
-        run_id = f"{child['method'].lower()}-{grid.parameter}{value:g}-seed{child['seed']}"
+        setting = f"{grid.parameter}{_value_label(value)}"
+        run_id = f"{child['method'].lower()}-{setting}-seed{child['seed']}"
         row = _run_one(child, problem, dataset_info, out_dir / run_id)
         row[grid.parameter] = value
         rows.append(row)

@@ -6,9 +6,11 @@ remapped to {-1, +1} ({0,1} and {1,2} label sets are recognized). Numbers are
 ASCII decimals separated by spaces, tabs or a carriage return; an index is
 unsigned digits below 2^53. The reader parses one block of whole lines, about
 1 MB, at a time with numpy. It decodes indices, labels and values from the
-block's bytes with integer arithmetic on 8-digit words, and a number it
-cannot prove exact, such as one longer than 24 bytes, goes to
-``np.fromstring``; every float equals Python's ``float`` of its text. A
+block's bytes with integer arithmetic on 8-digit words, and rounds a value
+with one float64 operation or, for a longer mantissa, with 128-bit integer
+products (Eisel–Lemire), the same on every platform. A number it cannot
+prove exact, such as one longer than 24 bytes, goes to ``np.fromstring``;
+every float equals Python's ``float`` of its text. A
 block that fails a check is run through the per-line checker, which raises
 the first error with its line number, so the reading stops within one block
 past a bad line and memory beyond the result is bounded by the block.
@@ -95,18 +97,51 @@ _FLOAT64_EXACT = np.uint64(2**53)
 # divisors that take a dot's 0 out of a number's digits: 10^k for k places
 # after the dot, and for more than 19 places or no dot one above any digits
 _DOT_SCALES = np.array([10**k for k in range(20)] + [2**64 - 1], dtype=np.uint64)
-# 10^k up to the largest power a long double with a 64-bit significand holds
-# exactly, then -10^k for negative numbers; float64 holds them up to 10^22
-_MAX_POWER = 27
+# 10^k up to the largest power float64 holds exactly, then -10^k for
+# negative numbers
+_MAX_POWER = 22
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(_MAX_POWER + 1)] * 2)
 _POWERS_OF_TEN[_MAX_POWER + 1:] *= -1
-_LONG_POWERS_OF_TEN = np.cumprod(np.array([1] + [10] * _MAX_POWER, dtype=np.longdouble))
-_LONG_POWERS_OF_TEN = np.concatenate((_LONG_POWERS_OF_TEN, -_LONG_POWERS_OF_TEN))
-# whether long double arithmetic rounds to a 64-bit significand, as x87
-# extended precision does
-_EXTENDED_PRECISION = bool(
-    np.finfo(np.longdouble).nmant == 63 and np.longdouble(1) / 3 != np.float64(1) / 3
-)
+
+# Eisel–Lemire reads M·10^q with a 128-bit power of five for each q from
+# _MIN_Q to _MAX_Q: below that range every such number rounds to 0, above
+# it to infinity
+_MIN_Q, _MAX_Q = -342, 308
+
+
+def _power_of_five(q: int) -> tuple[int, int]:
+    """5^q·2^s as a 128-bit integer with its top bit set, and s.
+
+    As the published table has it, the product is truncated for q >= 0,
+    rounded up for -27 <= q < 0, where M·10^q can be an exact midpoint
+    between float64s, and truncated below.
+    """
+    power = 5 ** abs(q)
+    if q >= 0:
+        return power << 128 >> power.bit_length(), 128 - power.bit_length()
+    shift = 127 + power.bit_length()
+    return (1 << shift) // power + (q >= -27), shift
+
+
+_FIVES = [_power_of_five(q) for q in range(_MIN_Q, _MAX_Q + 1)]
+_FIVES_HIGH = np.array([five >> 64 for five, _ in _FIVES], dtype=np.uint64)
+_FIVES_LOW = np.array([five & (1 << 64) - 1 for five, _ in _FIVES], dtype=np.uint64)
+# M·10^q is M·2^(63-b) for M's top bit b, times 5^q·2^s, times
+# 2^(q-s+b-63). The product's top word, shifted right by 9 plus its top bit
+# u, holds 54 bits: the float64's 53 and a rounding bit. So the float's
+# biased exponent, less the 1 that its rounded mantissa's leading bit adds,
+# is this term for q plus b and u; a negative term wraps
+_EXPONENT_TERMS = np.array(
+    [1149 + q - shift for q, (_, shift) in enumerate(_FIVES, start=_MIN_Q)], dtype=np.int64
+).view(np.uint64)
+del _FIVES
+# item k is 2^k - 1: M is below 2^k when at most item k
+_BELOW_POWERS_OF_TWO = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+_ONE, _THREE, _NINE_ONES = np.uint64(1), np.uint64(3), np.uint64(0x1FF)
+_HALF_WORD, _HALF_MASK = np.uint64(32), np.uint64(0xFFFFFFFF)
+_MANTISSA_BITS, _TOP_BIT = np.uint64(52), np.uint64(63)
+_EXPONENT_BIAS, _INFINITE_EXPONENT = np.uint64(1023), np.uint64(2047)
+_INFINITY_BITS = np.uint64(0x7FF << 52)
 
 # outside comments a line holds ASCII decimal numbers, colons and these
 # separators; the newline ends it
@@ -423,14 +458,11 @@ def _read_numbers(
     and the number M·10^-p, for an integer p. When M <= 2^53 and
     |p| <= 22, both factors are exact float64s and one divide or multiply
     rounds their quotient or product correctly (Clinger, "How to read
-    floating point numbers accurately", PLDI 1990). A long double with a
-    64-bit significand holds every M below 2^64 and 10^|p| for |p| <= 27,
-    so its one divide or multiply rounds once, to 64 bits. Rounding that
-    to float64 gives the correctly rounded float64 unless the 64-bit result
-    lies on a midpoint between two float64s, the one case in which the exact
-    result may lie on the other side of the midpoint. Those and every other
-    token, such as a mantissa or exponent longer than ``_WINDOW`` bytes, go
-    to one ``np.fromstring`` call, which rounds correctly.
+    floating point numbers accurately", PLDI 1990); so does a zero M at
+    any p. ``_eisel_lemire`` rounds every other M below 2^64 correctly
+    where the result is a normal float64. The rest, such as a subnormal or
+    infinite result or a mantissa or exponent longer than ``_WINDOW``
+    bytes, go to one ``np.fromstring`` call, which rounds correctly.
     """
     first = text[starts]
     negative = first == ord("-")
@@ -474,7 +506,6 @@ def _read_numbers(
     spelled -= whole
     del scale, whole
     power = places - power
-    exact &= np.abs(power) <= _MAX_POWER
     # M / 10^p, or M·10^-p for p < 0 after a divide by 1; the divisor
     # carries the sign, since M / -10^p is -(M / 10^p), also at M = 0
     divisor = np.clip(power, 0, _MAX_POWER) + (_MAX_POWER + 1) * negative
@@ -483,22 +514,14 @@ def _read_numbers(
     numbers = spelled.astype(np.float64)
     numbers /= _POWERS_OF_TEN[divisor]
     numbers[grow] *= _POWERS_OF_TEN[factor]
-    doubles = (spelled <= _FLOAT64_EXACT) & (np.abs(power) <= 22)
-    wide = np.flatnonzero(exact & ~doubles)
-    if _EXTENDED_PRECISION and wide.size:
-        result = spelled[wide].astype(np.longdouble)
-        result /= _LONG_POWERS_OF_TEN[divisor[wide]]
-        grown = np.flatnonzero(power[wide] < 0)
-        result[grown] *= _LONG_POWERS_OF_TEN[-power[wide[grown]]]
-        numbers[wide] = nearest = result.astype(np.float64)
-        # for the 64-bit result q and its float64 r, 2q - r is exact. It is
-        # a float64 when q is the midpoint of r and its neighbour, or r
-        # itself when q == r; these go to fromstring. Otherwise q is no
-        # midpoint, and r is the exact result correctly rounded
-        mirror = result * 2 - nearest
-        exact[wide[mirror.astype(np.float64) == mirror]] = False
-    else:
-        exact &= doubles
+    clinger = (spelled <= _FLOAT64_EXACT) & (np.abs(power) <= _MAX_POWER) | (spelled == 0)
+    exact &= clinger | (power >= -_MAX_Q) & (power <= -_MIN_Q)
+    wide = np.flatnonzero(exact & ~clinger)
+    if wide.size:
+        value, normal = _eisel_lemire(spelled[wide], -power[wide])
+        np.negative(value, out=value, where=negative[wide])
+        numbers[wide] = value
+        exact[wide[~normal]] = False
     rest = np.flatnonzero(~exact)
     if rest.size:
         spans = map(slice, starts[rest].tolist(), ends[rest].tolist())
@@ -520,8 +543,9 @@ def _read_exponents(text: np.ndarray, padded: np.ndarray, starts: np.ndarray, en
     """The exponents after each ``e``, or None if one has no digit.
 
     An exponent is a sign and digits from ``starts`` to ``ends``. Returns
-    the exponents, clipped where too large for any exact path, and where
-    they are exact: only digits, within a window.
+    the exponents and where they are exact: only digits, within a window.
+    An exponent is clipped at 1 - _MIN_Q: a number of at most a window's
+    places lies outside the powers that Eisel–Lemire reads either way.
     """
     first = text[starts]
     negative = first == ord("-")
@@ -530,8 +554,72 @@ def _read_exponents(text: np.ndarray, padded: np.ndarray, starts: np.ndarray, en
     if (lengths < 1).any():
         return None
     value, digits = _spelled(_span_words(padded, ends, lengths))
-    exponent = np.minimum(value, np.uint64(2 * _MAX_POWER)).astype(np.intp)
+    exponent = np.minimum(value, np.uint64(1 - _MIN_Q)).astype(np.intp)
     return np.where(negative, -exponent, exponent), digits & (lengths <= _WINDOW)
+
+
+def _eisel_lemire(mantissas: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M·10^q correctly rounded to float64, and where that is a normal float.
+
+    Takes ``uint64`` mantissas 1 <= M < 2^64 and powers _MIN_Q <= q <= _MAX_Q.
+    M, shifted to set its top bit, times the 128-bit 5^q of the table puts
+    the float's 53 bits, a rounding bit and 9 more in the top word of the
+    product, and the power of two follows from q and the shifts. The low
+    words enter only where the top word ends in nine 1 bits, which a carry
+    from them could change. With the table rounded as it is, this decides
+    every such M and q (Lemire, "Number parsing at a gigabyte per second",
+    arXiv 2101.11408; Mushtak and Lemire, "Fast number parsing without
+    fallback", arXiv 2212.06644). An exact midpoint, possible only for
+    -4 <= q <= 23, rounds to even. Elsewhere than a normal result the
+    float is garbage.
+    """
+    # M's top bit: that of the float64 nearest M, or the one below where
+    # rounding carried M up to a power of two
+    top = (mantissas.astype(np.float64).view(np.uint64) >> _MANTISSA_BITS) - _EXPONENT_BIAS
+    top -= mantissas <= _BELOW_POWERS_OF_TWO[top]
+    normalized = mantissas << _TOP_BIT - top
+    index = powers - _MIN_Q
+    high, low = _multiply_128(normalized, _FIVES_HIGH[index])
+    rough = np.flatnonzero(high & _NINE_ONES == _NINE_ONES)
+    carry_in = _multiply_128(normalized[rough], _FIVES_LOW[index[rough]])[0]
+    total = low[rough] + carry_in
+    high[rough] += total < carry_in
+    low[rough] = total
+    upper = high >> _TOP_BIT
+    shift = upper + _NINE
+    mantissa = high >> shift
+    # an exact midpoint shows as a zero low word and no 1 bit shifted out
+    ties = np.flatnonzero(low <= _ONE)
+    ties = ties[
+        (powers[ties] >= -4) & (powers[ties] <= 23) & (mantissa[ties] & _THREE == _ONE)
+        & (mantissa[ties] << shift[ties] == high[ties])
+    ]
+    mantissa[ties] -= _ONE  # so that it rounds down, to even
+    mantissa += mantissa & _ONE
+    mantissa >>= _ONE
+    biased = _EXPONENT_TERMS[index] + top + upper
+    normal = biased < _INFINITE_EXPONENT
+    # the mantissa's implicit bit, or the 2^53 that rounding carried to,
+    # adds to the exponent
+    mantissa += biased << _MANTISSA_BITS
+    normal &= mantissa < _INFINITY_BITS
+    return mantissa.view(np.float64), normal
+
+
+def _multiply_128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products a·b; the high word
+    from 32-bit halves."""
+    a_low, a_high = a & _HALF_MASK, a >> _HALF_WORD
+    b_low, b_high = b & _HALF_MASK, b >> _HALF_WORD
+    across = a_high * b_low
+    down = a_low * b_high
+    # three halves below 2^32 each: the middle column's sum cannot wrap
+    middle = (a_low * b_low >> _HALF_WORD) + (across & _HALF_MASK) + (down & _HALF_MASK)
+    high = a_high * b_high
+    high += across >> _HALF_WORD
+    high += down >> _HALF_WORD
+    high += middle >> _HALF_WORD
+    return high, a * b
 
 
 def _take_dots(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,9 +22,11 @@ and starts no thread. Usable CPUs are those of ``sched_getaffinity`` (so
 ``taskset`` pins it to one), capped by the CPU time a cgroup quota allows.
 Each output element is summed in the same order as by one serial product, so
 results are bitwise identical to the serial kernels and deterministic,
-whatever the block count. With two or more blocks the problem also keeps a
-CSR copy of the transposed design, about 12 bytes per stored entry. All
-problems share one process-wide pool of kernel threads.
+whatever the block count. From ``_TRANSPOSE_COPY_NNZ`` stored entries, the
+fewest that two blocks hold, the problem also keeps a CSR copy of the
+transposed design, about 12 bytes per stored entry; on one block too, its
+product outruns the CSC view's. All problems share one process-wide pool of
+kernel threads.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def _check_batch(v: np.ndarray, d: int) -> None:
 # of the product saves; set from a sweep of solver iteration time over 1e5 to
 # 4e6 nonzeros (ROADMAP, aim 1)
 _NNZ_PER_THREAD = 2**18
+# From this many stored entries the gradient's transposed product runs
+# through a CSR copy of the transpose even on one block: on a 1M-entry
+# design it took 1.30 ms through the copy against 1.93 ms through the CSC
+# view. Two blocks need this many entries, and they always take the copy
+_TRANSPOSE_COPY_NNZ = 2 * _NNZ_PER_THREAD
 
 
 # cgroup v2 and v1 keep their CPU quota files under this root
@@ -229,9 +236,10 @@ class LogisticProblem:
     row blocks of the design: at a new point a block's task computes its t
     and e and runs the call's per-sample step on them, at the cached point
     the step runs on the cached arrays. Per-feature passes run over row
-    blocks of the transpose, a CSR copy, or with a single block the CSC view
-    ``design.T``. The calling thread and the process's kernel pool share out
-    the blocks.
+    blocks of the transpose, a CSR copy, or for a design of fewer than
+    ``_TRANSPOSE_COPY_NNZ`` entries, always one block, the CSC view
+    ``design.T``. The calling thread and the process's kernel pool share
+    out the blocks.
     """
 
     def __init__(self, design: sp.csr_matrix, labels, mu: float):
@@ -255,7 +263,7 @@ class LogisticProblem:
         k = _block_count(design.nnz)
         # (slice of the output, matrix computing it) per block
         self._rows = [(s, _row_view(design, s)) for s in _split(design.indptr, k)]
-        if k == 1:
+        if design.nnz < _TRANSPOSE_COPY_NNZ:  # so k == 1
             self._cols = [(slice(0, self.dimension), design.T)]
         else:
             # the transposed copy's rows hold each feature's entries in sample

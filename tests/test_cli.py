@@ -11,7 +11,7 @@ from ceqn.cli import (
     render_compare_text,
     select_winner,
 )
-from ceqn.data_io import RunSpec, read_trace_csv, validate_spec
+from ceqn.data_io import ConfigError, RunSpec, read_trace_csv, validate_spec
 from ceqn.driver import run_solver
 
 from conftest import FIXTURE_D, FIXTURE_LIBSVM
@@ -437,6 +437,55 @@ class TestGrid:
         with pytest.raises(ValueError, match="unknown configuration key"):
             GridSpec("cubik", [1.0])
         assert GridSpec("memory", [5.0, 10]).values == [5, 10]
+        with pytest.raises(ValueError, match="differ"):
+            GridSpec("memory", [5, 5.0])
+        spec = validate_spec({"method": "CEQN", "problem": "quadratic"})
+        for seeds in ([], [3, 3]):
+            with pytest.raises(ConfigError, match="seeds"):
+                GridSpec("cubic", [1.0]).children(spec, seeds)
+
+    def test_values_alike_to_six_digits_get_their_own_runs(
+        self, quadratic_config, tmp_path, capsys
+    ):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--config", str(quadratic_config), "--out", str(out),
+            "--param", "theta", "--values", "1.0000001,1.0000002", "--seeds", "0",
+        ])
+        assert code == 0
+        rows = json.loads((out / "grid-report.json").read_text())["rows"]
+        assert [row["run_id"] for row in rows] == [
+            "ceqn-theta1.0000001-seed0", "ceqn-theta1.0000002-seed0",
+        ]
+        for row in rows:
+            summary = json.loads((out / row["run_id"] / "summary.json").read_text())
+            assert summary["config"]["theta"] == row["theta"]
+
+    def test_run_ids_keep_the_short_spelling_where_it_reads_back(self):
+        from ceqn.cli import GRID_PRESETS, _value_label
+
+        for value in GRID_PRESETS["a9a-grid"] + GRID_PRESETS["realsim-grid"]:
+            assert _value_label(value) == f"{value:g}"
+        assert _value_label(1234567) == "1234567"  # not 1.23457e+06
+        assert _value_label(0.1 + 0.2) == "0.30000000000000004"
+
+    @pytest.mark.parametrize("option, text", [
+        ("--seeds", "3,3"),
+        ("--seeds", ","),
+        ("--values", "10,10"),
+    ])
+    def test_empty_or_repeated_list_exits_2_before_any_run(
+        self, short_fixed_config, tmp_path, capsys, option, text
+    ):
+        out = tmp_path / "grid"
+        lists = {"--values": "10", "--seeds": "0"} | {option: text}
+        code = main([
+            "grid", "--config", str(short_fixed_config), "--out", str(out),
+            *(item for pair in lists.items() for item in pair),
+        ])
+        assert code == 2
+        assert option.strip("-") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_builtin_presets_are_pinned(self):
         from ceqn.cli import GRID_PRESETS

@@ -433,58 +433,76 @@ NUMBER_TEXT = st.one_of(
     decimal_text(),
 ).filter(lambda text: math.isfinite(float(text)))
 
-# (text, whether it reaches np.fromstring, with and without a 64-bit long double)
+# (text, whether it reaches np.fromstring)
 DECODER_ROUTES = [
-    ("0.5", False, False),
-    ("-1.25", False, False),
-    (".5", False, False),
-    ("5.", False, False),
-    ("+.25", False, False),
-    ("007.50", False, False),
-    ("-0.0", False, False),
-    ("1E+3", False, False),
-    ("25e-3", False, False),
-    ("9007199254740992", False, False),  # 2^53, a float64 divide
-    ("0.30000000000000004", False, True),  # M > 2^53
-    ("-1.0856306033005612", False, True),
-    ("1e22", False, False),
-    ("123456789012345678e5", False, True),  # M > 2^53, times 10^5
-    ("1e-23", False, True),  # 10^23 is exact in a long double only
-    ("1e23", True, True),  # the midpoint of two float64s
-    ("1.2e-5", False, False),
-    # 2^53 + 1 is a midpoint of two float64s, and so is the 64-bit quotient
-    ("9007199254740993", True, True),
-    # the 64-bit quotient rounds onto a midpoint that the exact one lies
-    # above: rounding it again to float64 would round down, to even
-    ("0.12500000002775558950", True, True),
-    ("9007199254740994", True, True),  # q == r, sent on with the midpoints
-    ("1234567890123456789012345", True, True),  # longer than a window
-    ("18446744073709551616", True, True),  # 2^64, too large for 64-bit digits
-    ("5e-324", True, True),  # a power of ten beyond 10^27
-    ("1.7976931348623157e308", True, True),
-    ("1e0000000000000000000000001", True, True),  # an exponent beyond a window
+    ("0.5", False),
+    ("-1.25", False),
+    (".5", False),
+    ("5.", False),
+    ("+.25", False),
+    ("007.50", False),
+    ("-0.0", False),
+    ("1E+3", False),
+    ("25e-3", False),
+    ("9007199254740992", False),  # 2^53, a float64 divide
+    ("0.30000000000000004", False),  # M > 2^53, Eisel–Lemire from here on
+    ("-1.0856306033005612", False),
+    ("1e22", False),
+    ("123456789012345678e5", False),  # M > 2^53, times 10^5
+    ("1e-23", False),  # 10^23 is not a float64
+    ("1e23", False),  # the midpoint of two float64s, rounded to even
+    ("1.2e-5", False),
+    ("9007199254740993", False),  # 2^53 + 1, a midpoint too
+    # a 64-bit quotient would round onto a midpoint that the exact one lies
+    # above, and a second rounding to float64 down, to even
+    ("0.12500000002775558950", False),
+    ("9007199254740994", False),
+    ("-0e-30", False),  # a zero mantissa at any power
+    ("0e-400", False),
+    ("1.7976931348623157e308", False),  # the largest float64
+    ("17976931348623158e292", False),  # rounds down to it
+    ("1e308", False),  # the table's last power
+    ("2.2250738585072014e-308", False),  # the smallest normal float64
+    ("1234567890123456789012345", True),  # longer than a window
+    ("18446744073709551616", True),  # 2^64, too large for 64-bit digits
+    ("5e-324", True),  # a subnormal result
+    ("2.2250738585072013e-308", True),  # rounds up to a normal from below
+    ("1e-342", True),  # the table's first power: rounds to 0
+    ("1e-400", True),  # a power below the table
+    ("1e0000000000000000000000001", True),  # an exponent beyond a window
 ]
+
+
+@st.composite
+def midpoint_text(draw):
+    """The exact decimal of a midpoint between two float64s: an odd 54-bit
+    integer times 2^j for -60 <= j <= 10, its trailing zeros an exponent."""
+    multiple = 5 ** draw(st.integers(0, 22))  # so that q > 0 comes up too
+    odd = draw(st.integers(2**53 // multiple + 1, 2**54 // multiple - 1)) * multiple
+    odd += multiple * (odd % 2 == 0)
+    j = draw(st.integers(-60, 10))
+    digits, q = (odd << j, 0) if j >= 0 else (odd * 5**-j, j)
+    while digits % 10 == 0:
+        digits, q = digits // 10, q + 1
+    return f"{digits}e{q}"
 
 
 class TestExactDecimals:
     """``parse_libsvm`` reads every number as ``float`` does, bit for bit."""
 
     @staticmethod
-    def parsed_values(texts, extended=True):
+    def parsed_values(texts):
         line = "+1 " + " ".join(f"{j}:{text}" for j, text in enumerate(texts, start=1)) + "\n"
-        extended &= data_io._EXTENDED_PRECISION
-        with mock.patch.object(data_io, "_EXTENDED_PRECISION", extended):
-            return parse_libsvm(io.StringIO(line)).design.data
+        return parse_libsvm(io.StringIO(line)).design.data
 
     @settings(max_examples=300)
-    @given(st.lists(NUMBER_TEXT, min_size=1, max_size=30), st.booleans())
-    def test_values_equal_float_bit_for_bit(self, texts, extended):
+    @given(st.lists(NUMBER_TEXT, min_size=1, max_size=30))
+    def test_values_equal_float_bit_for_bit(self, texts):
         expected = np.array([float(text) for text in texts])
-        assert self.parsed_values(texts, extended).tobytes() == expected.tobytes()
+        assert self.parsed_values(texts).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("text, leftover, leftover_without_extended", DECODER_ROUTES)
-    @pytest.mark.parametrize("extended", [True, False])
-    def test_each_route(self, monkeypatch, text, leftover, leftover_without_extended, extended):
+    @pytest.mark.parametrize("text, leftover", DECODER_ROUTES)
+    def test_each_route(self, monkeypatch, text, leftover):
         read = []
         fromstring = np.fromstring
 
@@ -493,21 +511,43 @@ class TestExactDecimals:
             return fromstring(string, **kwargs)
 
         monkeypatch.setattr(np, "fromstring", spy)
-        values = self.parsed_values([text], extended)
+        values = self.parsed_values([text])
         assert values.tobytes() == np.array([float(text)]).tobytes()
-        if extended and data_io._EXTENDED_PRECISION:
-            assert bool(read) == leftover
-        else:
-            assert bool(read) == leftover_without_extended
+        assert bool(read) == leftover
 
-    def test_double_rounding_would_miss_the_midpoint_case(self):
-        # the reason the midpoint goes on: one rounding to 64 bits and one to
-        # 53 give the float64 below, the exact quotient the one above
-        text = "0.12500000002775558950"
-        if not data_io._EXTENDED_PRECISION:
-            pytest.skip("long double has no 64-bit significand here")
-        twice = np.float64(np.longdouble(12500000002775558950) / data_io._LONG_POWERS_OF_TEN[20])
-        assert twice < float(text) == self.parsed_values([text])[0]
+    @settings(max_examples=1000)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 2**64 - 1), st.integers(data_io._MIN_Q, data_io._MAX_Q)),
+            min_size=1, max_size=50,
+        )
+    )
+    def test_eisel_lemire_equals_float_where_normal(self, cases):
+        mantissas, powers = zip(*cases)
+        values, normal = data_io._eisel_lemire(
+            np.array(mantissas, dtype=np.uint64), np.array(powers)
+        )
+        for (m, q), value, is_normal in zip(cases, values.tolist(), normal.tolist()):
+            expected = float(f"{m}e{q}")
+            if is_normal:
+                assert value == expected, (m, q)
+            else:  # only results at the float range's ends are left over
+                assert abs(expected) < 2.0**-1021 or math.isinf(expected), (m, q)
+
+    @settings(max_examples=300)
+    @given(st.lists(midpoint_text(), min_size=1, max_size=30))
+    def test_midpoints_round_to_even(self, texts):
+        expected = np.array([float(text) for text in texts])
+        assert self.parsed_values(texts).tobytes() == expected.tobytes()
+        # below j = -4, 5^-j makes the mantissa 2^64 or more
+        fits = [(m, q) for m, q in (map(int, text.split("e")) for text in texts) if m < 2**64]
+        if fits:
+            mantissas, powers = zip(*fits)
+            values, normal = data_io._eisel_lemire(
+                np.array(mantissas, dtype=np.uint64), np.array(powers)
+            )
+            assert normal.all()
+            assert values.tolist() == [float(f"{m}e{q}") for m, q in fits]
 
     @pytest.mark.parametrize(
         "label", ["+1", "1.0", "-1e0", "0.0E5", "2.", "10e-1", "+0001", "-.1e1"]
@@ -523,7 +563,7 @@ class TestExactDecimals:
         with pytest.raises(LibsvmParseError):
             parse_libsvm(io.StringIO(f"+1 1{'0' * 29}3:1\n"))
 
-    def test_generated_files_equal_the_line_loop_without_extended_precision(self, tmp_path):
+    def test_generated_files_equal_the_line_loop(self, tmp_path):
         rng = np.random.default_rng(16)
         lines = []
         for _ in range(300):
@@ -532,12 +572,9 @@ class TestExactDecimals:
             lines.append(" ".join(["-1"] + [f"{c}:{v!r}" for c, v in zip(cols, values)]) + "\n")
         path = tmp_path / "wide.libsvm"
         path.write_text("".join(lines))
-        expected = parse_outcome(line_loop_reference, path)
         for source in (path, FIXTURE_LIBSVM):
-            with mock.patch.object(data_io, "_EXTENDED_PRECISION", False):
-                without = parse_outcome(parse_libsvm, source)
-            assert without == parse_outcome(parse_libsvm, source)
-        assert parse_outcome(parse_libsvm, path) == expected
+            expected = parse_outcome(line_loop_reference, source)
+            assert parse_outcome(parse_libsvm, source) == expected
 
 
 def coo_reference(text, dimension):

@@ -443,6 +443,25 @@ class TestBlockedKernels:
         x, V = rng.normal(size=10), rng.normal(size=(4, 10))
         oracle_bytes(prob, x, V)
 
+    def test_one_cpu_keeps_the_transposed_copy_from_2_pow_19_entries(self, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
+        n, per_row, d = 2**12, 2**7, 2**11
+        indices = (np.arange(n)[:, None] + 16 * np.arange(per_row)) % d
+        indptr = np.arange(0, n * per_row + 1, per_row)
+        design = sp.csr_matrix((rng.normal(size=indices.size), indices.ravel(), indptr), (n, d))
+        assert design.nnz == 2**19
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        smaller = LogisticProblem(design[1:], labels[1:], 1e-3)
+        assert smaller._cols[0][1].format == "csc"
+        prob = LogisticProblem(design, labels, 1e-3)
+        assert len(prob._rows) == len(prob._cols) == 1
+        assert prob._cols[0][1].format == "csr"
+        monkeypatch.setattr(problems, "_TRANSPOSE_COPY_NNZ", 2**19 + 1)
+        through_view = LogisticProblem(design, labels, 1e-3)
+        assert through_view._cols[0][1].format == "csc"
+        x = rng.normal(size=d)
+        assert prob.gradient(x).tobytes() == through_view.gradient(x).tobytes()
+
     def test_problems_share_one_pool(self, rng):
         first, second = (blocked(random_logistic(rng, n=60, d=9), k) for k in (2, 3))
         x = rng.normal(size=9)
