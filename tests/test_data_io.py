@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -457,8 +458,12 @@ DECODER_ROUTES = [
     # above, and a second rounding to float64 down, to even
     ("0.12500000002775558950", False),
     ("9007199254740994", False),
+    ("-9007199254740993", False),  # a negative midpoint, rounded to even too
+    # the low words' carry turns the top word's nine 1 bits into a rounding bit
+    ("9128725515028756875e-4", False),
     ("-0e-30", False),  # a zero mantissa at any power
     ("0e-400", False),
+    ("0e99999", False),
     ("1.7976931348623157e308", False),  # the largest float64
     ("17976931348623158e292", False),  # rounds down to it
     ("1e308", False),  # the table's last power
@@ -469,6 +474,7 @@ DECODER_ROUTES = [
     ("2.2250738585072013e-308", True),  # rounds up to a normal from below
     ("1e-342", True),  # the table's first power: rounds to 0
     ("1e-400", True),  # a power below the table
+    ("1e-99999", True),  # exponents clipped at 1 - _MIN_Q
     ("1e0000000000000000000000001", True),  # an exponent beyond a window
 ]
 
@@ -548,6 +554,48 @@ class TestExactDecimals:
             )
             assert normal.all()
             assert values.tolist() == [float(f"{m}e{q}") for m, q in fits]
+
+    @pytest.mark.parametrize("text", ["1e99999", "1.7976931348623159e308", "-1e309"])
+    def test_values_past_the_float_range_are_rejected(self, text):
+        lines = ["+1 1:1\n", f"-1 2:{text}\n"]
+        with pytest.raises(LibsvmParseError, match="non-finite") as excinfo:
+            parse_libsvm(io.StringIO("".join(lines)))
+        assert excinfo.value.line_no == 2
+
+    def test_a_carry_from_the_low_words_decides_the_rounding(self):
+        m, q = 9128725515028756875, -4
+        mantissas, powers = np.array([m], dtype=np.uint64), np.array([q])
+        assert data_io._eisel_lemire(mantissas, powers)[0][0] == float(f"{m}e{q}")
+        # without the second product the top word rounds down
+        with mock.patch.object(data_io, "_FIVES_LOW", np.zeros_like(data_io._FIVES_LOW)):
+            assert data_io._eisel_lemire(mantissas, powers)[0][0] < float(f"{m}e{q}")
+
+    def test_powers_of_five_follow_their_rounding(self):
+        for q in range(data_io._MIN_Q, data_io._MAX_Q + 1):
+            index = q - data_io._MIN_Q
+            five = int(data_io._FIVES_HIGH[index]) << 64 | int(data_io._FIVES_LOW[index])
+            shift = 1149 + q - int(data_io._EXPONENT_TERMS.view(np.int64)[index])
+            exact = Fraction(5) ** q * Fraction(2) ** shift
+            assert 2**127 <= five < 2**128, q
+            rounded_up = -27 <= q < 0
+            assert five == math.floor(exact) + rounded_up, q
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**63, 2**63), (2**32 - 1, 2**32 + 1)],
+        ids=["zero", "largest", "top-bits", "halves"],
+    )
+    def test_multiply_128_edges(self, a, b):
+        x, y = np.array([a], dtype=np.uint64), np.array([b], dtype=np.uint64)
+        high, low = data_io._multiply_128(x, y)
+        assert int(high[0]) << 64 | int(low[0]) == a * b
+
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1))
+    def test_multiply_128_equals_int_product(self, pairs):
+        a, b = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+        high, low = data_io._multiply_128(a, b)
+        products = [h << 64 | l for h, l in zip(high.tolist(), low.tolist())]
+        assert products == [x * y for x, y in pairs]
 
     @pytest.mark.parametrize(
         "label", ["+1", "1.0", "-1e0", "0.0E5", "2.", "10e-1", "+0001", "-.1e1"]
