@@ -25,6 +25,7 @@ from .hessian import (
     IndefiniteOperatorError,
     LowRankOperator,
     PairBuffer,
+    dual_norm,
     rebuild_operator,
     sample_pairs,
 )
@@ -45,7 +46,6 @@ from .steps import (
     check_dual,
     check_reg,
     damped_stepsize,
-    dual_norm,
 )
 
 __version__ = "0.1.0"

@@ -102,9 +102,11 @@ def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
     """Execute one configured run and write its artifacts.
 
     A run that ends NUMERICAL_FAILURE keeps its partial artifacts with status
-    ``failed``. An exception the run raises becomes a row with status
-    ``error``, the exception type and message, and no artifacts, so the rest
-    of a sweep still runs. Only failing to write into ``out_dir`` raises.
+    ``failed``, and its message says whether f or g left the float range or
+    the H0 fallback had no usable g^T H0 g. An exception the run raises
+    becomes a row with status ``error``, the exception type and message, and
+    no artifacts, so the rest of a sweep still runs. Only failing to write
+    into ``out_dir`` raises.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     row = {"run_id": out_dir.name, "status": "ok", "message": ""}
@@ -115,8 +117,12 @@ def _run_one(spec: RunSpec, problem, dataset_info: dict, out_dir: Path) -> dict:
         # the summary keys of a run that left no summary
         return row | dict.fromkeys(_SUMMARY_ROW_KEYS) | {"seed": spec["seed"], "iterations": 0}
     if result.termination == TERM_NUMERICAL_FAILURE:
-        where = f"iteration {result.trace[-1].iter}" if result.trace else "the start point"
-        row.update(status="failed", message=f"objective or gradient non-finite at {where}")
+        if math.isfinite(result.f_final) and math.isfinite(result.grad_norm_sq_final):
+            message = f"g^T H0 g not positive and finite at iteration {len(result.trace)}"
+        else:
+            where = f"iteration {result.trace[-1].iter}" if result.trace else "the start point"
+            message = f"objective or gradient non-finite at {where}"
+        row.update(status="failed", message=message)
     write_trace_csv(result, out_dir / "trace.csv")
     summary = write_summary_json(result, out_dir / "summary.json", spec.values, dataset_info)
     return row | {key: summary[key] for key in _SUMMARY_ROW_KEYS}

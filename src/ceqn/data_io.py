@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .driver import RunResult, SolverConfig, TraceRecord
 from .hessian import ApproxConfig
-from .problems import LogisticProblem, QuadraticProblem, tridiagonal_quadratic
+from .problems import LogisticProblem, tridiagonal_quadratic
 from .steps import MODE_DUAL, MODE_REG, AdaptiveParams, CeqnParams
 
 DATA_DIR_ENV = "CEQN_DATA_DIR"

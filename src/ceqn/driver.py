@@ -8,8 +8,8 @@ closed-form or the adaptive engine, as the type of ``SolverConfig.engine``
 names, and records one trace row per executed iteration. The driver
 evaluates the oracle only at the start point; each engine returns its step
 with the objective and gradient there. Every run returns a ``RunResult``: a
-run whose objective or gradient stops being finite ends
-``NUMERICAL_FAILURE`` with its partial trace. Runs are
+run whose objective or gradient stops being finite, or whose H0 fallback is
+not usable either, ends ``NUMERICAL_FAILURE`` with its partial trace. Runs are
 deterministic given (problem, config): the seed feeds a private generator
 used only for direction sampling, and wall-clock time is the sole
 nondeterministic trace column.
@@ -167,7 +167,9 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
     H0 = h0_scale * I, which keeps a built operator's skipped-pair count.
     The run ends NUMERICAL_FAILURE, before any other termination test, at
     the first point where f or ||g||^2 is not finite, the start point
-    included; a step that leaves x unchanged ends it STATIONARY.
+    included, or where g^T H0 g is not positive and finite either; a step
+    that leaves x unchanged ends it STATIONARY. Only LSR1 and LBFGS runs
+    with HISTORY pairs keep a pair buffer.
     """
     oracle = CountingOracle(problem)
     rng = np.random.default_rng(config.seed)
@@ -181,7 +183,7 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
 
     buffer = (
         PairBuffer(config.approx.memory, oracle.dimension)
-        if config.approx.pair_strategy == STRATEGY_HISTORY
+        if config.approx.pair_strategy == STRATEGY_HISTORY and config.approx.kind != KIND_EXACT
         else None
     )
     k = 0
@@ -209,7 +211,11 @@ def run_solver(problem: ProblemOracle, config: SolverConfig) -> RunResult:
             step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
         except IndefiniteOperatorError:
             operator = LowRankOperator.identity(config.approx.h0_scale, oracle.dimension, skipped)
-            step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
+            try:
+                step = _engine_iteration(config, oracle, operator, x, g, f, alpha)
+            except IndefiniteOperatorError:
+                termination = TERM_NUMERICAL_FAILURE
+                break
 
         trace.append(
             TraceRecord(

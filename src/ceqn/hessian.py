@@ -9,10 +9,10 @@ of U, and BFGS in the compact form of Byrd, Nocedal and Schnabel (Math. Prog.
 arrays, collected either along the optimization history (a FIFO ring) or by
 Hessian-vector probes along fresh Gaussian directions.
 
-Every build is finite. An operator that cannot give a positive dual norm
-raises IndefiniteOperatorError (the exact inverse of a Hessian that is not
-positive definite, or ``steps.dual_norm`` on an indefinite SR1 operator),
-and the step is taken with the flagged H0 of ``LowRankOperator.identity``.
+Every build is finite. An operator is usable when g^T H g is positive and
+finite at a nonzero g, with no floor in the units of ||g||^2. ``dual_norm``,
+and the exact inverse of a Hessian that is not positive definite, raise
+IndefiniteOperatorError, and the step takes H0 = ``LowRankOperator.identity``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,25 @@ class ApproxConfig:
 
 class IndefiniteOperatorError(RuntimeError):
     """The operator cannot give a positive, finite gradient quadratic form."""
+
+
+def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
+    """Gradient norm dual to the operator: sqrt(g^T H g), plus H g itself.
+
+    Exactly one operator application; the returned H g doubles as the step
+    direction. Raises IndefiniteOperatorError when the quadratic form of a
+    nonzero gradient is not positive and finite.
+    """
+    gg = float(g @ g)
+    # an H g or a form past the float range gives an inf or NaN form, which
+    # fails the rule below
+    with np.errstate(over="ignore", invalid="ignore"):
+        hg = operator.apply(g)
+        ghg = float(g @ hg)
+    # written so that a NaN quadratic form also fails the test
+    if gg > 0.0 and not 0.0 < ghg < math.inf:
+        raise IndefiniteOperatorError(f"g^T H g = {ghg:.3e} with ||g||^2 = {gg:.3e}")
+    return math.sqrt(max(ghg, 0.0)), hg
 
 
 class PairBuffer:

@@ -416,11 +416,15 @@ class QuadraticProblem:
 
     def value(self, x: Vector) -> float:
         _check_dim(x, self.dimension)
-        return float(0.5 * x @ (self.matrix @ x) - self.linear @ x)
+        # a diverging iterate's products leave the float range: inf or NaN
+        # is the answer, and the driver ends the run on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(0.5 * x @ (self.matrix @ x) - self.linear @ x)
 
     def gradient(self, x: Vector) -> Vector:
         _check_dim(x, self.dimension)
-        return self.matrix @ x - self.linear
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.matrix @ x - self.linear
 
     def hvp_batch(self, x: Vector, V: np.ndarray) -> np.ndarray:
         _check_dim(x, self.dimension)

@@ -17,6 +17,8 @@ only at the start point.
 
 All dual norms inside one outer iteration use the operator frozen at that
 iteration, including inside acceptance tests on the trial point's gradient.
+They come from ``hessian.dual_norm``, which also decides whether the
+operator can be used; an engine passes its raise on to the driver.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hessian import IndefiniteOperatorError
+from .hessian import dual_norm
 from .problems import CountingOracle, Vector
 
 MODE_DUAL = "DUAL"
@@ -97,24 +99,6 @@ class StepResult:
     dual_norm_before: float
     cap_hit: bool = False
     alpha_next: float | None = None
-
-
-def dual_norm(operator, g: Vector) -> tuple[float, Vector]:
-    """Gradient norm dual to the operator: sqrt(g^T H g), plus H g itself.
-
-    Exactly one operator application; the returned H g doubles as the step
-    direction. Raises IndefiniteOperatorError when the quadratic form is not
-    safely positive and finite for a nonzero gradient.
-    """
-    hg = operator.apply(g)
-    gg = float(g @ g)
-    ghg = float(g @ hg)
-    # written so that a NaN quadratic form also fails the test
-    if gg > 0.0 and not 1e-14 * gg < ghg < math.inf:
-        raise IndefiniteOperatorError(
-            f"g^T H g = {ghg:.3e} with ||g||^2 = {gg:.3e}"
-        )
-    return math.sqrt(max(ghg, 0.0)), hg
 
 
 def damped_stepsize(theta: float, lg: float) -> float:

@@ -19,6 +19,8 @@ from ceqn.driver import SolverConfig, run_solver
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
+    IndefiniteOperatorError,
+    dual_norm,
     rebuild_operator,
     sample_pairs,
 )
@@ -26,11 +28,9 @@ from ceqn.problems import CountingOracle, QuadraticProblem
 from ceqn.steps import (
     AdaptiveParams,
     CeqnParams,
-    IndefiniteOperatorError,
     adaptive_iteration,
     ceqn_step,
     damped_stepsize,
-    dual_norm,
 )
 
 from conftest import (
@@ -254,8 +254,11 @@ def test_criterion_07_affine_invariance():
     base = random_logistic(rng, n=40, d=6, mu=1e-4)
     params = CeqnParams(theta=1.0, cubic=0.5)
     worst = 0.0
-    for _ in range(5):
-        a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+    mats = [rng.normal(size=(6, 6)) + 3.0 * np.eye(6) for _ in range(5)]
+    # scaled reparameterizations: g^T H^-1 g stays put while ||g||^2 grows
+    # by the square of the scale, so a usability floor in the units of
+    # ||g||^2 would reject the exact operator
+    for a in mats + [1e4 * mats[0], 1e8 * mats[0]]:
         pulled = AffinePullback(base, a)
         x_base = np.ones(6)
         x_pulled = np.linalg.solve(a, x_base)

@@ -144,6 +144,20 @@ class TestRun:
         assert row["status"] == "failed" and row["iterations"] == 0
         assert row["message"] == "objective or gradient non-finite at the start point"
 
+    def test_unusable_h0_is_a_failed_row(self, quadratic_config, tmp_path, capsys):
+        # g = (1, 0, 1) at the start point, so g^T H0 g = 2e308 overflows
+        code = main([
+            "run", "--config", str(quadratic_config), "--out", str(tmp_path),
+            "--override", "approx_kind=LSR1", "--override", "pair_strategy=HISTORY",
+            "--override", "h0_scale=1e308", "--run-id", "h0",
+        ])
+        assert code == 1
+        row = json.loads(capsys.readouterr().out)
+        assert row["status"] == "failed" and row["iterations"] == 0
+        assert row["message"] == "g^T H0 g not positive and finite at iteration 0"
+        summary = json.loads((tmp_path / "h0" / "summary.json").read_text())
+        assert summary["termination"] == "NUMERICAL_FAILURE"
+
 
     def test_summary_config_reproduces_the_run(
         self, fixed_config, quadratic_config, tmp_path, capsys

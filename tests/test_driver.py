@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from ceqn.data_io import parse_libsvm, validate_spec
 from ceqn.driver import SolverConfig, check_termination, run_solver
-from ceqn.hessian import ApproxConfig
+from ceqn.hessian import ApproxConfig, PairBuffer
 from ceqn.problems import LogisticProblem, QuadraticProblem, tridiagonal_quadratic
 from ceqn import steps
 from ceqn.steps import AdaptiveParams, CeqnParams, check_dual
@@ -141,6 +141,101 @@ class TestRunSolver:
         assert result.termination == "NUMERICAL_FAILURE"
         assert len(result.trace) == 1
         assert result.trace[0].inner_count == cfg.engine.max_inner
+
+    @pytest.mark.parametrize(
+        "kind, strategy", [("LSR1", "HISTORY"), ("LBFGS", "HISTORY"), ("LSR1", "SAMPLED")]
+    )
+    @pytest.mark.parametrize("start", [1e5, 1e9])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unusable_h0_ends_the_run_as_a_numerical_failure(self, kind, strategy, start):
+        # with H0 = 1e300 I at these start points g^T H g is inf for the
+        # built operator and for its H0 fallback alike (at 1e9, H0 g is inf
+        # already): the run ends with its partial trace, f and g finite
+        cfg = SolverConfig(
+            engine=CeqnParams(theta=1.0, cubic=1.0),
+            approx=ApproxConfig(memory=3, h0_scale=1e300, kind=kind, pair_strategy=strategy),
+            x0=start * np.ones(5),
+        )
+        result = run_solver(tridiagonal_quadratic(5), cfg)
+        assert result.termination == "NUMERICAL_FAILURE"
+        assert result.trace == []
+        assert math.isfinite(result.f_final) and math.isfinite(result.grad_norm_sq_final)
+        np.testing.assert_array_equal(result.x_final, cfg.x0)
+
+    @pytest.mark.parametrize("mode", ["REG", "DUAL"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quadratic_past_the_float_range_is_silent(self, mode):
+        # the first step leaves the float range; QuadraticProblem's products
+        # give inf or NaN without a warning, as LogisticProblem's do
+        cfg = SolverConfig(
+            engine=AdaptiveParams(mode=mode),
+            approx=ApproxConfig(h0_scale=1e300, kind="LSR1", pair_strategy="HISTORY"),
+            x0=np.tile([1.0, -1.0], 3),
+        )
+        result = run_solver(tridiagonal_quadratic(6), cfg)
+        assert result.termination == "NUMERICAL_FAILURE"
+        assert len(result.trace) == 1
+
+    @pytest.mark.parametrize("kind", ["LSR1", "LBFGS"])
+    @pytest.mark.parametrize(
+        "engine",
+        [CeqnParams(theta=1.0, cubic=1.0), AdaptiveParams(mode="DUAL"), AdaptiveParams(mode="REG")],
+        ids=["CEQN", "DUAL", "REG"],
+    )
+    def test_h0_below_1e_minus_14_is_usable(self, kind, engine):
+        # g^T H0 g = 1e-15 ||g||^2 is positive and finite, so H0 steps
+        cfg = SolverConfig(
+            engine=engine,
+            approx=ApproxConfig(h0_scale=1e-15, kind=kind, pair_strategy="HISTORY"),
+        )
+        result = run_solver(tridiagonal_quadratic(5), cfg)
+        assert result.termination == "GRAD_TOL"
+        assert not result.trace[0].fallback
+
+    @pytest.mark.parametrize(
+        "engine",
+        [CeqnParams(theta=2.0, cubic=1.0), AdaptiveParams(mode="DUAL"), AdaptiveParams(mode="REG")],
+        ids=["CEQN", "DUAL", "REG"],
+    )
+    def test_exact_runs_are_invariant_under_rescaling(self, engine):
+        """f(x) = 0.5 x^T A x - b^T x and f_s(z) = 0.5 z^T (s^2 A) z - s b^T z
+        agree at z = x / s, and the exact operator's dual norm does not see
+        s. So the f-traces agree, with no fallback at any s."""
+        base = tridiagonal_quadratic(8)
+        traces = []
+        for s in (1.0, 1e4, 1e7, 1e10):
+            problem = QuadraticProblem(s * s * base.matrix, s * base.linear)
+            cfg = SolverConfig(
+                engine=engine,
+                approx=ApproxConfig(kind="EXACT"),
+                max_iters=10,
+                grad_tol=0.0,
+                x0=np.ones(8) / s,
+            )
+            result = run_solver(problem, cfg)
+            assert len(result.trace) == 10
+            assert not any(rec.fallback for rec in result.trace)
+            traces.append(np.array([rec.f for rec in result.trace]))
+        for f in traces[1:]:
+            np.testing.assert_allclose(f, traces[0], rtol=1e-13, atol=0.0)
+
+    def test_exact_history_keeps_no_pair_buffer(self, monkeypatch):
+        problem = tridiagonal_quadratic(6)
+        sampled = run_solver(problem, exact_newton_config(engine=AdaptiveParams(mode="DUAL")))
+
+        def refuse(*args):
+            raise AssertionError("an EXACT run pushed a pair")
+
+        monkeypatch.setattr(PairBuffer, "push", refuse)
+        history = run_solver(problem, exact_newton_config(
+            engine=AdaptiveParams(mode="DUAL"),
+            approx=ApproxConfig(kind="EXACT", pair_strategy="HISTORY"),
+        ))
+        for ours, theirs in zip(history.trace, sampled.trace, strict=True):
+            assert dataclasses.replace(ours, wall_seconds=0.0) == dataclasses.replace(
+                theirs, wall_seconds=0.0
+            )
+        assert history.x_final.tobytes() == sampled.x_final.tobytes()
 
     def test_stationary_safeguard_on_underflowing_step(self):
         prob = tridiagonal_quadratic(3)

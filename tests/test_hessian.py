@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ceqn
-from ceqn import steps
+from ceqn import hessian, steps
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
     IndefiniteOperatorError,
     LowRankOperator,
     PairBuffer,
+    _build_lsr1,
+    dual_norm,
     rebuild_operator,
     sample_pairs,
 )
@@ -634,8 +636,32 @@ class TestDenseInverse:
 
 class TestUnusableOperator:
     def test_one_exception_class(self):
-        assert ceqn.IndefiniteOperatorError is steps.IndefiniteOperatorError
-        assert steps.IndefiniteOperatorError is IndefiniteOperatorError
+        # the rule and its exception live in hessian alone
+        assert ceqn.IndefiniteOperatorError is IndefiniteOperatorError
+        assert ceqn.dual_norm is steps.dual_norm is dual_norm
+        assert dual_norm.__module__ == hessian.__name__
+        assert not hasattr(steps, "IndefiniteOperatorError")
+
+    @given(pair_histories(), st.integers(-200, 200))
+    def test_rule_is_invariant_under_powers_of_two(self, history, k):
+        """H and 2^k H are usable at the same g: a power of two scales scale,
+        M and so every product exactly, and the rule has no floor in the
+        units of ||g||^2 that would tell them apart."""
+        rng, buf, _ = realize(history)
+        op = _build_lsr1(buf, history[3])
+        scaled = LowRankOperator(op.scale * 2.0**k, op.u, op.m * 2.0**k, op.skipped, op.fallback)
+        g = rng.normal(size=buf.dimension)
+        outcomes = []
+        for operator in (op, scaled):
+            try:
+                outcomes.append(dual_norm(operator, g)[1])
+            except IndefiniteOperatorError:
+                outcomes.append(None)
+        if outcomes[0] is None:
+            assert outcomes[1] is None
+        else:
+            assert outcomes[1] is not None
+            assert outcomes[1].tobytes() == (2.0**k * outcomes[0]).tobytes()
 
     def test_identity_is_flagged_h0(self, rng):
         g = rng.normal(size=5)

@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from ceqn.hessian import (
     ApproxConfig,
     DenseInverseOperator,
+    IndefiniteOperatorError,
     PairBuffer,
+    dual_norm,
     rebuild_operator,
 )
 from ceqn.problems import CountingOracle, LogisticProblem, QuadraticProblem
 from ceqn.steps import (
     AdaptiveParams,
     CeqnParams,
-    IndefiniteOperatorError,
     adaptive_iteration,
     ceqn_step,
     check_dual,
     check_reg,
     damped_stepsize,
-    dual_norm,
 )
 
 from conftest import GRAD_TOL, ScaledIdentity, random_logistic, random_spd
@@ -50,9 +50,11 @@ class TestDualNorm:
         value, _ = dual_norm(IdentityOperator(), np.zeros(3))
         assert value == 0.0
 
-    def test_scaled_identity(self):
-        value, _ = dual_norm(ScaledIdentity(2.0), np.array([1.0, 1.0]))
-        assert value == pytest.approx(2.0, rel=1e-15)
+    # the rule has no floor in the units of ||g||^2: any g^T H g > 0 will do
+    @pytest.mark.parametrize("scale", [2.0, 1e-15, 1e-300])
+    def test_scaled_identity(self, scale):
+        value, _ = dual_norm(ScaledIdentity(scale), np.array([1.0, 1.0]))
+        assert value == math.sqrt(2.0 * scale)
 
     def test_indefinite_operator_raises(self):
         with pytest.raises(IndefiniteOperatorError):
@@ -66,6 +68,11 @@ class TestDualNorm:
 
         with pytest.raises(IndefiniteOperatorError):
             dual_norm(NonFinite(), np.array([1.0, 2.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_form_past_the_float_range_raises_without_warning(self):
+        with pytest.raises(IndefiniteOperatorError, match="g\\^T H g = inf"):
+            dual_norm(ScaledIdentity(1e308), np.array([1.0, 1.0]))
 
 
 def adaptive_eta(cubic, alpha, gdual):
